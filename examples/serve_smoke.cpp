@@ -90,7 +90,6 @@ int main(int Argc, char **Argv) {
   ServeOptions Opts;
   Opts.Env = Train.Env;
   Opts.Net = Train.Net;
-  Opts.Ppo = Train.Ppo;
   Opts.Seed = Seed + 1;
   Opts.BatchWidth = 4;
   Opts.QueueCapacity = 4;

@@ -97,25 +97,6 @@ fi
 # so the packed path cannot silently regress to per-call malloc).
 ./build/example_perf_smoke
 
-# --- GEMM dispatch smoke check --------------------------------------------
-# Cross-checks the dispatched GEMM micro-kernel (SIMD where the build
-# has one) against the portable scalar fallback at runtime on the CI
-# machine itself: double AND float, NN/NT/TN, streaming AND packed
-# macro-kernel paths, tail-heavy shapes, bitwise comparison. Double
-# parity is what the bitwise-deterministic training contract rides on;
-# float parity covers the f32 greedy inference path; packed parity is
-# the packing-is-pure-layout contract.
-./build/example_gemm_smoke
-
-# --- Striped-memo smoke check ---------------------------------------------
-# The memo micro-bench in smoke mode: hammers the lock-striped shared
-# memo from 4 threads at 1 shard (the global-lock baseline) and 16
-# shards, asserting deterministic values, exact
-# hits+misses+duplicates accounting, the capacity bound, and -- when the
-# global lock actually contended -- that striping reduced contended
-# acquisitions.
-./build/example_memo_smoke
-
 # --- Fuzz smoke -----------------------------------------------------------
 # The deterministic fuzz engine at CI scale: 10k seed-derived parser
 # inputs through the import gate plus 200 random-action episodes, zero
@@ -147,7 +128,9 @@ fi
 # --- ASan/UBSan pass (opt-in: --sanitize[=address]) -----------------------
 # A second tree under ASan+UBSan: the whole test suite plus a reduced
 # fuzz campaign, halt-on-error. Kept out of the default gate because the
-# instrumented build roughly doubles CI time.
+# instrumented build roughly doubles CI time. GemmTest in the suite runs
+# the SIMD micro-kernels and the packed cross-checks here, which makes
+# ASan the pack-arena leak and panel-overrun gate.
 if [[ "$sanitize" == address ]]; then
   cmake -B build-san -S . -DMLIRRL_SANITIZE="address;undefined" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -158,15 +141,6 @@ if [[ "$sanitize" == address ]]; then
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-san/example_fuzz_smoke --inputs 2000 --episodes 50 \
     --corpus "$fuzz_corpus"
-  # The SIMD micro-kernels under ASan+UBSan (vector loads/stores and
-  # the tail delegation are exactly where an out-of-bounds lane read
-  # would hide). The packed cross-check runs here too, which makes ASan
-  # the pack-arena leak gate: LeakSanitizer fails this invocation if a
-  # pack-scratch allocation outlives its thread's arena, and a panel
-  # overrun past the padded row stride is an immediate heap-overflow
-  # report.
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ./build-san/example_gemm_smoke
   # Pack-arena steady state under the sanitized build as well (the
   # reuse counters are asserted inside).
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
@@ -200,9 +174,7 @@ if [[ "$sanitize" == thread ]]; then
      TSAN_OPTIONS=halt_on_error=1 \
      ctest --output-on-failure --timeout 900 -j "$(nproc)" \
            -R "$tsan_subset")
-  # The two concurrency smokes in reduced form: the striped memo from
-  # many threads and the server worker pool end to end.
-  TSAN_OPTIONS=halt_on_error=1 ./build-tsan/example_memo_smoke
+  # The server worker pool end to end, in reduced form.
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/example_serve_smoke --requests 4 \
     --ckpt build-tsan/serve_smoke.ckpt

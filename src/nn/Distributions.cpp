@@ -2,11 +2,6 @@
 
 #include "nn/Distributions.h"
 
-#include "support/Error.h"
-
-#include <cassert>
-#include <cmath>
-
 using namespace mlirrl;
 using namespace mlirrl::nn;
 
@@ -15,78 +10,10 @@ BatchedMaskedCategorical::BatchedMaskedCategorical(Tensor Logits, Tensor Mask)
   LogProbs = logSoftmaxRows(this->Logits, this->Mask);
 }
 
-std::vector<double>
-BatchedMaskedCategorical::probabilitiesRow(unsigned Row) const {
-  assert(Row < batchSize() && "row out of range");
-#ifndef NDEBUG
-  // Sampling (or argmaxing) a fully-masked row would silently pick an
-  // invalid action: logSoftmaxRows turns the all-(-inf) row into a
-  // uniform distribution. Such rows exist legitimately in mixed
-  // batches (inactive heads) but must never be drawn from.
-  if (Mask.valid()) {
-    bool AnyValid = false;
-    for (unsigned I = 0; I < Mask.cols(); ++I)
-      AnyValid |= Mask.at(Row, I) != 0.0;
-    assert(AnyValid && "drawing from a fully-masked row");
-  }
-#endif
-  std::vector<double> Probs(LogProbs.cols());
-  for (unsigned I = 0; I < LogProbs.cols(); ++I)
-    Probs[I] = std::exp(LogProbs.at(Row, I));
-  return Probs;
-}
-
-unsigned BatchedMaskedCategorical::sampleRow(unsigned Row, Rng &Rng) const {
-  return static_cast<unsigned>(Rng.sampleWeighted(probabilitiesRow(Row)));
-}
-
-unsigned BatchedMaskedCategorical::argmaxRow(unsigned Row) const {
-  std::vector<double> Probs = probabilitiesRow(Row);
-  unsigned Best = 0;
-  double BestValue = -1.0;
-  for (unsigned I = 0; I < Probs.size(); ++I) {
-    if (Probs[I] > BestValue) {
-      BestValue = Probs[I];
-      Best = I;
-    }
-  }
-  return Best;
-}
-
-double BatchedMaskedCategorical::logProbValue(unsigned Row,
-                                              unsigned Index) const {
-  assert(!isMasked(Row, Index) && "log-prob of a masked action");
-  return LogProbs.at(Row, Index);
-}
-
 Tensor BatchedMaskedCategorical::logProbRows(const std::vector<int> &Cols) const {
   return pickPerRow(LogProbs, Cols);
 }
 
 Tensor BatchedMaskedCategorical::entropyRows() const {
   return entropyRowsOfLogits(Logits, Mask);
-}
-
-bool BatchedMaskedCategorical::isMasked(unsigned Row, unsigned Index) const {
-  assert(Row < batchSize() && Index < Logits.cols() && "index out of range");
-  return Mask.valid() && Mask.at(Row, Index) == 0.0;
-}
-
-MaskedCategorical::MaskedCategorical(Tensor Logits, Tensor Mask)
-    : Batch([&] {
-        assert(Logits.rows() == 1 && "logits must be a single row");
-#ifndef NDEBUG
-        if (Mask.valid()) {
-          bool AnyValid = false;
-          for (double V : Mask.data())
-            AnyValid |= V != 0.0;
-          assert(AnyValid && "mask excludes every action");
-        }
-#endif
-        return BatchedMaskedCategorical(std::move(Logits), std::move(Mask));
-      }()) {}
-
-Tensor MaskedCategorical::logProb(unsigned Index) const {
-  assert(!isMasked(Index) && "log-prob of a masked action");
-  return Batch.logProbRows({static_cast<int>(Index)});
 }

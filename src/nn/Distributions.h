@@ -6,13 +6,15 @@
 /// a transformation from a 6-way categorical, then parameters from
 /// per-head categoricals, all under action masks (Sec. IV-A2).
 ///
+/// This is the differentiable side, for the PPO update. Rollouts sample
+/// and argmax over plain logits rows with the helpers of nn/Inference.h.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MLIRRL_NN_DISTRIBUTIONS_H
 #define MLIRRL_NN_DISTRIBUTIONS_H
 
 #include "nn/Ops.h"
-#include "support/Rng.h"
 
 #include <vector>
 
@@ -20,35 +22,16 @@ namespace mlirrl {
 namespace nn {
 
 /// A batch of B independent masked categorical distributions over the
-/// rows of a [BxN] logits tensor. Row operations are bitwise-identical
-/// to a distribution built from that row alone (log-softmax is
-/// row-wise and the shared GEMM producing the logits accumulates each
-/// row independently), which is what keeps batched rollouts
-/// deterministic against the single-env path; MaskedCategorical below
-/// is literally this class at B == 1.
+/// rows of a [BxN] logits tensor. Log-softmax is row-wise and the shared
+/// GEMM producing the logits accumulates each row independently, so a
+/// row's values do not depend on the batch it sits in.
 ///
 /// Rows whose head is inactive in a mixed batch may carry an all-zero
-/// mask; such rows must simply never be sampled or picked.
+/// mask; such rows must simply never be picked.
 class BatchedMaskedCategorical {
 public:
   /// \p Logits is BxN; \p Mask (BxN of 0/1) may be invalid for no mask.
   BatchedMaskedCategorical(Tensor Logits, Tensor Mask = Tensor());
-
-  unsigned batchSize() const { return Logits.rows(); }
-  unsigned numCategories() const { return Logits.cols(); }
-
-  /// Samples row \p Row from its masked distribution using \p Rng (the
-  /// per-env stream of that row's environment).
-  unsigned sampleRow(unsigned Row, Rng &Rng) const;
-
-  /// The most probable valid index of row \p Row.
-  unsigned argmaxRow(unsigned Row) const;
-
-  /// Non-differentiable log-probability of \p Index under row \p Row.
-  double logProbValue(unsigned Row, unsigned Index) const;
-
-  /// Raw probabilities of row \p Row (non-differentiable view).
-  std::vector<double> probabilitiesRow(unsigned Row) const;
 
   /// Differentiable per-row log-probabilities [Bx1]; Cols[r] == -1
   /// contributes 0.0 with no gradient (inactive rows).
@@ -57,47 +40,10 @@ public:
   /// Differentiable per-row entropies [Bx1].
   Tensor entropyRows() const;
 
-  bool isMasked(unsigned Row, unsigned Index) const;
-
 private:
   Tensor Logits;
   Tensor Mask;
   Tensor LogProbs; // cached logSoftmax node
-};
-
-/// A categorical distribution over one row of logits with a 0/1
-/// validity mask: the batch-of-one view of BatchedMaskedCategorical,
-/// so there is a single sampling/argmax/log-prob implementation to
-/// keep correct. Keeps the graph alive so logProb/entropy are
-/// differentiable.
-class MaskedCategorical {
-public:
-  /// \p Logits is 1xN; \p Mask (1xN of 0/1) may be invalid for no mask.
-  MaskedCategorical(Tensor Logits, Tensor Mask = Tensor());
-
-  unsigned numCategories() const { return Batch.numCategories(); }
-
-  /// Samples an index according to the masked distribution.
-  unsigned sample(Rng &Rng) const { return Batch.sampleRow(0, Rng); }
-
-  /// The most probable valid index.
-  unsigned argmax() const { return Batch.argmaxRow(0); }
-
-  /// Differentiable log-probability of \p Index.
-  Tensor logProb(unsigned Index) const;
-
-  /// Differentiable entropy.
-  Tensor entropy() const { return Batch.entropyRows(); }
-
-  /// Raw probabilities (non-differentiable view).
-  std::vector<double> probabilities() const {
-    return Batch.probabilitiesRow(0);
-  }
-
-  bool isMasked(unsigned Index) const { return Batch.isMasked(0, Index); }
-
-private:
-  BatchedMaskedCategorical Batch;
 };
 
 } // namespace nn

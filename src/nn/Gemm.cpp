@@ -131,7 +131,7 @@ bool parallelOverRows(unsigned M, double Work, const RowSlice &Fn) {
 
 /// Debug guard at the public entry points: operand base pointers must
 /// exist and be element-aligned. Sub-matrix views (e.g. the per-gate
-/// W + F*N slices linearSplit passes) land at arbitrary element
+/// W + F*N slices linearSplitSparse passes) land at arbitrary element
 /// offsets, so element alignment is the strongest invariant holding
 /// here; the 64-byte alignment of whole tensor buffers is asserted
 /// where it is guaranteed, in the Tensor arena.

@@ -14,9 +14,10 @@
 /// Every kernel exists for double and for float. The double kernels are
 /// the training path and are bitwise-stable (same accumulation order
 /// per element regardless of pool size or kernel dispatch); the float
-/// kernels carry the opt-in f32 inference path
-/// (MlirRlOptions::Inference), where the NN product runs an explicitly
-/// SIMD micro-kernel when the platform has one (see setGemmKernel).
+/// NN kernel carries the float instantiation of the graph-free forward
+/// (nn/Inference.h, opt-in through MlirRlOptions::Inference). The NN
+/// product runs an explicitly SIMD micro-kernel when the platform has
+/// one (see setGemmKernel).
 /// Large calls additionally route through the packed macro-kernel
 /// layer (see setGemmPacking): BLIS-style A/B panel packing into
 /// per-thread aligned scratch, bitwise-identical to the streaming
@@ -50,7 +51,7 @@ ThreadPool *getGemmPool();
 /// kernels accumulate every C element over k in the same order (SIMD
 /// only widens the independent j lanes), so the choice never changes
 /// results -- it is a speed knob, exposed so benchmarks can measure
-/// both and the gemm_smoke example can cross-check them at runtime.
+/// both and GemmTest can cross-check them at runtime.
 enum class GemmKernel {
   Auto,   ///< Simd where compiled in, else Scalar (the default).
   Scalar, ///< Force the portable scalar micro-kernel.

@@ -4,7 +4,7 @@
 /// The dtype-generic kernel layer under nn/Gemm.h: cache-blocked,
 /// register-tiled accumulate kernels templated on the element type,
 /// instantiated for double (training; bitwise-stable) and float (the
-/// vectorized inference path).
+/// float instantiation of the graph-free forward, nn/Inference.h).
 ///
 /// Two inner kernels exist for the NN (C += A.B) product:
 ///
@@ -19,9 +19,8 @@
 /// Both accumulate every C element over k in ascending order; the SIMD
 /// kernel only widens the *j* axis, where lanes are independent
 /// accumulator chains, so the two kernels are bitwise-identical on any
-/// input for both dtypes (the gemm_smoke example and GemmTest assert
-/// exact equality at runtime -- the guard against a miscompiled or
-/// misdispatched SIMD path). Which one runs is a runtime dispatch
+/// input for both dtypes (GemmTest asserts exact equality at runtime --
+/// the guard against a miscompiled or misdispatched SIMD path). Which one runs is a runtime dispatch
 /// (nn::setGemmKernel); Auto resolves to SIMD where the extension
 /// exists.
 ///
@@ -41,7 +40,7 @@
 /// microNTPacked* keeps the per-KC-block temporary accumulator;
 /// microTNPacked* keeps the MR-grouped sums and the exact zero-skip
 /// tests), so packed and unpacked results are required to be
-/// bitwise-identical -- GemmTest and gemm_smoke memcmp them. Whether
+/// bitwise-identical -- GemmTest memcmps them. Whether
 /// packing runs is a second runtime dispatch (nn::setGemmPacking).
 ///
 //===----------------------------------------------------------------------===//

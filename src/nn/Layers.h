@@ -28,12 +28,6 @@ public:
 
   Tensor forward(const Tensor &X) const;
 
-  /// y = [X, H] W + b without materializing the concatenation (see
-  /// nn::linearSplit); the LSTM gates run on this.
-  Tensor forwardSplit(const Tensor &X, const Tensor &H) const {
-    return linearSplit(X, H, W, B);
-  }
-
   std::vector<Tensor> parameters() const { return {W, B}; }
 
   const Tensor &weight() const { return W; }
@@ -60,7 +54,7 @@ public:
 
   unsigned outFeatures() const;
 
-  /// The layer stack (read-only; the f32 inference packer walks it).
+  /// The layer stack (read-only; the graph-free forward reads its shapes).
   const std::vector<Linear> &layers() const { return Layers; }
 
 private:

@@ -12,56 +12,24 @@ LstmCell::LstmCell(unsigned In, unsigned Hidden, Rng &Rng)
       ForgetGate(In + Hidden, Hidden, Rng), CellGate(In + Hidden, Hidden, Rng),
       OutputGate(In + Hidden, Hidden, Rng) {}
 
-LstmCell::State LstmCell::initialState(unsigned BatchRows) const {
-  return State{Tensor::zeros(BatchRows, Hidden),
-               Tensor::zeros(BatchRows, Hidden)};
-}
-
-LstmCell::State LstmCell::step(const Tensor &X, const State &Prev) const {
-  // Each gate is one fused split-linear node over (x, h): bitwise the
-  // concatenated product, but backward never computes the gradient of
-  // the (non-trainable, mostly-zero) feature input -- only dH, which is
-  // Hidden columns instead of In + Hidden.
-  Tensor I = sigmoidOp(InputGate.forwardSplit(X, Prev.H));
-  Tensor F = sigmoidOp(ForgetGate.forwardSplit(X, Prev.H));
-  Tensor G = tanhOp(CellGate.forwardSplit(X, Prev.H));
-  Tensor O = sigmoidOp(OutputGate.forwardSplit(X, Prev.H));
-  Tensor C = add(hadamard(F, Prev.C), hadamard(I, G));
-  Tensor H = hadamard(O, tanhOp(C));
-  return State{H, C};
-}
-
-LstmCell::State
-LstmCell::stepSparse(const std::shared_ptr<const SparseRows> &X,
-                     const State &Prev) const {
-  Tensor I = sigmoidOp(linearSplitSparse(X, Prev.H, InputGate.weight(),
-                                         InputGate.bias()));
-  Tensor F = sigmoidOp(linearSplitSparse(X, Prev.H, ForgetGate.weight(),
-                                         ForgetGate.bias()));
-  Tensor G = tanhOp(linearSplitSparse(X, Prev.H, CellGate.weight(),
-                                      CellGate.bias()));
-  Tensor O = sigmoidOp(linearSplitSparse(X, Prev.H, OutputGate.weight(),
-                                         OutputGate.bias()));
-  Tensor C = add(hadamard(F, Prev.C), hadamard(I, G));
-  Tensor H = hadamard(O, tanhOp(C));
-  return State{H, C};
-}
-
-Tensor LstmCell::runSequence(const std::vector<Tensor> &Sequence) const {
-  assert(!Sequence.empty() && "empty LSTM sequence");
-  State S = initialState(Sequence.front().rows());
-  for (const Tensor &X : Sequence)
-    S = step(X, S);
-  return S.H;
-}
-
 Tensor LstmCell::runSequenceSparse(
     const std::vector<std::shared_ptr<const SparseRows>> &Sequence) const {
   assert(!Sequence.empty() && "empty LSTM sequence");
-  State S = initialState(Sequence.front()->Rows);
-  for (const std::shared_ptr<const SparseRows> &X : Sequence)
-    S = stepSparse(X, S);
-  return S.H;
+  Tensor H = Tensor::zeros(Sequence.front()->Rows, Hidden);
+  Tensor C = Tensor::zeros(Sequence.front()->Rows, Hidden);
+  for (const std::shared_ptr<const SparseRows> &X : Sequence) {
+    Tensor I = sigmoidOp(linearSplitSparse(X, H, InputGate.weight(),
+                                           InputGate.bias()));
+    Tensor F = sigmoidOp(linearSplitSparse(X, H, ForgetGate.weight(),
+                                           ForgetGate.bias()));
+    Tensor G = tanhOp(linearSplitSparse(X, H, CellGate.weight(),
+                                        CellGate.bias()));
+    Tensor O = sigmoidOp(linearSplitSparse(X, H, OutputGate.weight(),
+                                           OutputGate.bias()));
+    C = add(hadamard(F, C), hadamard(I, G));
+    H = hadamard(O, tanhOp(C));
+  }
+  return H;
 }
 
 std::vector<Tensor> LstmCell::parameters() const {

@@ -16,47 +16,25 @@
 namespace mlirrl {
 namespace nn {
 
-/// One LSTM cell; step() advances one timestep.
+/// One LSTM cell over compressed sparse input batches (observation
+/// features are ~97% zeros).
 class LstmCell {
 public:
   LstmCell() = default;
   LstmCell(unsigned In, unsigned Hidden, Rng &Rng);
 
-  struct State {
-    Tensor H; // B x Hidden
-    Tensor C; // B x Hidden
-  };
-
-  /// A zero initial state for a batch of \p BatchRows independent
-  /// sequences (rows never interact, so row r of a batched run is
-  /// bitwise-identical to a width-1 run of that sequence).
-  State initialState(unsigned BatchRows = 1) const;
-
-  /// Advances one step with input X [B x In].
-  State step(const Tensor &X, const State &Prev) const;
-
-  /// Advances one step with the input batch in compressed sparse form
-  /// (bitwise the dense step; all four gates share the compression).
-  State stepSparse(const std::shared_ptr<const SparseRows> &X,
-                   const State &Prev) const;
-
-  /// Runs a sequence of [B x In] inputs and returns the final hidden
-  /// state (the embedding), one row per batch element.
-  Tensor runSequence(const std::vector<Tensor> &Sequence) const;
-
-  /// runSequence over compressed sparse input batches -- the embedding
-  /// fast path (observation features are ~97% zeros).
+  /// Runs a sequence of [B x In] input batches from a zero state and
+  /// returns the final hidden state (the embedding), one row per batch
+  /// element. Rows never interact, so row r of a batched run is
+  /// bitwise-identical to a width-1 run of that sequence.
   Tensor runSequenceSparse(
       const std::vector<std::shared_ptr<const SparseRows>> &Sequence) const;
 
   std::vector<Tensor> parameters() const;
   unsigned hiddenSize() const { return Hidden; }
-
-  /// Gate layers (read-only; the f32 inference packer copies them).
-  const Linear &inputGate() const { return InputGate; }
-  const Linear &forgetGate() const { return ForgetGate; }
-  const Linear &cellGate() const { return CellGate; }
-  const Linear &outputGate() const { return OutputGate; }
+  /// Width of one input row; the gates read [x, h], inputSize() +
+  /// hiddenSize() wide.
+  unsigned inputSize() const { return InputGate.inFeatures() - Hidden; }
 
 private:
   unsigned Hidden = 0;

@@ -3,6 +3,7 @@
 #include "nn/Ops.h"
 
 #include "nn/Gemm.h"
+#include "nn/Inference.h"
 #include "support/Error.h"
 
 #include <cassert>
@@ -10,48 +11,6 @@
 
 using namespace mlirrl;
 using namespace mlirrl::nn;
-
-/// Large negative logit standing in for -inf under masking; exp underflows
-/// to zero and gradients stay finite.
-static constexpr double MaskedLogit = -1e30;
-
-/// Forward product into a zeroed buffer. Sparse activation rows (the
-/// common shape: feature rows that are mostly zeros under masking and
-/// padding, single or batched) take a sparse-aware axpy path; skipping
-/// exact zeros contributes nothing and keeps every output element's
-/// accumulation over k in ascending order, so the batched sparse path,
-/// the single-row path and the blocked dense kernel all agree bitwise.
-static void forwardProduct(unsigned M, unsigned N, unsigned K,
-                           const double *A, const double *B, double *C) {
-  auto SparseRow = [&](unsigned I) {
-    const double *__restrict Ai = A + static_cast<size_t>(I) * K;
-    double *__restrict Ci = C + static_cast<size_t>(I) * N;
-    for (unsigned Kk = 0; Kk < K; ++Kk) {
-      const double Av = Ai[Kk];
-      if (Av == 0.0)
-        continue;
-      const double *__restrict Bk = B + static_cast<size_t>(Kk) * N;
-      for (unsigned J = 0; J < N; ++J)
-        Ci[J] += Av * Bk[J];
-    }
-  };
-  if (M == 1) {
-    SparseRow(0);
-    return;
-  }
-  // Batched: pick the path per the measured density. The scan is ~N
-  // times cheaper than the multiply it gates.
-  size_t Nnz = 0;
-  size_t Total = static_cast<size_t>(M) * K;
-  for (size_t I = 0; I < Total; ++I)
-    Nnz += A[I] != 0.0;
-  if (Nnz * 2 < Total) {
-    for (unsigned I = 0; I < M; ++I)
-      SparseRow(I);
-    return;
-  }
-  gemmAccNN(M, N, K, A, K, B, N, C, N);
-}
 
 /// Shared backward for matmul-shaped nodes: dA += dC . B^T and
 /// dB += A^T . dC on the blocked kernels.
@@ -87,14 +46,9 @@ Tensor nn::linear(const Tensor &A, const Tensor &W, const Tensor &Bias) {
   unsigned M = A.rows(), K = A.cols(), N = W.cols();
   Tensor C = makeNode(M, N, {A, W, Bias}, "linear");
   TensorNode &Node = *C.node();
-  const double *BiasRow = Bias.data().data();
-  for (unsigned I = 0; I < M; ++I) {
-    double *Ci = Node.Data.data() + static_cast<size_t>(I) * N;
-    for (unsigned J = 0; J < N; ++J)
-      Ci[J] = BiasRow[J];
-  }
-  forwardProduct(M, N, K, A.data().data(), W.data().data(),
-                 Node.Data.data());
+  linearInto(M, A.data().data(),
+             LinearWeights<double>{W.data().data(), Bias.data().data(), K, N},
+             Node.Data.data());
   Node.Backward = [M, K, N](TensorNode &Self) {
     matmulBackward(Self, M, K, N);
     TensorNode &BiasN = *Self.Inputs[2];
@@ -105,56 +59,6 @@ Tensor nn::linear(const Tensor &A, const Tensor &W, const Tensor &Bias) {
       for (unsigned J = 0; J < N; ++J)
         BiasN.Grad[J] += Gi[J];
     }
-  };
-  return C;
-}
-
-Tensor nn::linearSplit(const Tensor &X, const Tensor &H, const Tensor &W,
-                       const Tensor &Bias) {
-  assert(X.rows() == H.rows() && "linearSplit row-count mismatch");
-  assert(X.cols() + H.cols() == W.rows() && "linearSplit inner dims mismatch");
-  assert(Bias.rows() == 1 && Bias.cols() == W.cols() &&
-         "bias must be a 1xN row");
-  unsigned M = X.rows(), F = X.cols(), G = H.cols(), N = W.cols();
-  Tensor C = makeNode(M, N, {X, H, W, Bias}, "linearSplit");
-  TensorNode &Node = *C.node();
-  const double *BiasRow = Bias.data().data();
-  for (unsigned I = 0; I < M; ++I) {
-    double *Ci = Node.Data.data() + static_cast<size_t>(I) * N;
-    for (unsigned J = 0; J < N; ++J)
-      Ci[J] = BiasRow[J];
-  }
-  // X against W's first F rows, then H against the remaining G rows:
-  // the same k-ascending accumulation the concatenated product runs.
-  forwardProduct(M, N, F, X.data().data(), W.data().data(),
-                 Node.Data.data());
-  forwardProduct(M, N, G, H.data().data(),
-                 W.data().data() + static_cast<size_t>(F) * N,
-                 Node.Data.data());
-  Node.Backward = [M, F, G, N](TensorNode &Self) {
-    TensorNode &Xn = *Self.Inputs[0];
-    TensorNode &Hn = *Self.Inputs[1];
-    TensorNode &Wn = *Self.Inputs[2];
-    TensorNode &BiasN = *Self.Inputs[3];
-    if (Xn.RequiresGrad)
-      gemmAccNT(M, F, N, Self.Grad.data(), N, Wn.Data.data(), N,
-                Xn.Grad.data(), F);
-    if (Hn.RequiresGrad)
-      gemmAccNT(M, G, N, Self.Grad.data(), N,
-                Wn.Data.data() + static_cast<size_t>(F) * N, N,
-                Hn.Grad.data(), G);
-    if (Wn.RequiresGrad) {
-      gemmAccTN(F, N, M, Xn.Data.data(), F, Self.Grad.data(), N,
-                Wn.Grad.data(), N);
-      gemmAccTN(G, N, M, Hn.Data.data(), G, Self.Grad.data(), N,
-                Wn.Grad.data() + static_cast<size_t>(F) * N, N);
-    }
-    if (BiasN.RequiresGrad)
-      for (unsigned I = 0; I < M; ++I) {
-        const double *Gi = Self.Grad.data() + static_cast<size_t>(I) * N;
-        for (unsigned J = 0; J < N; ++J)
-          BiasN.Grad[J] += Gi[J];
-      }
   };
   return C;
 }
@@ -188,22 +92,10 @@ Tensor nn::linearSplitSparse(const std::shared_ptr<const SparseRows> &X,
   unsigned M = X->Rows, F = X->Cols, G = H.cols(), N = W.cols();
   Tensor C = makeNode(M, N, {H, W, Bias}, "linearSplitSparse");
   TensorNode &Node = *C.node();
-  const double *BiasRow = Bias.data().data();
-  const double *Wd = W.data().data();
-  for (unsigned I = 0; I < M; ++I) {
-    double *Ci = Node.Data.data() + static_cast<size_t>(I) * N;
-    for (unsigned J = 0; J < N; ++J)
-      Ci[J] = BiasRow[J];
-    // X part, nonzero columns only, k ascending (the dense product's
-    // order with its zero terms dropped).
-    for (const SparseRows::Entry &E : X->RowEntries[I]) {
-      const double *Wk = Wd + static_cast<size_t>(E.Col) * N;
-      for (unsigned J = 0; J < N; ++J)
-        Ci[J] += E.Value * Wk[J];
-    }
-  }
-  forwardProduct(M, N, G, H.data().data(),
-                 Wd + static_cast<size_t>(F) * N, Node.Data.data());
+  linearSplitSparseInto(
+      *X, H.data().data(),
+      LinearWeights<double>{W.data().data(), Bias.data().data(), F + G, N},
+      Node.Data.data());
   Node.Backward = [X, M, F, G, N](TensorNode &Self) {
     TensorNode &Hn = *Self.Inputs[0];
     TensorNode &Wn = *Self.Inputs[1];
@@ -328,7 +220,7 @@ Tensor nn::scale(const Tensor &A, double Factor) {
 
 Tensor nn::relu(const Tensor &A) {
   return elementwiseUnary(
-      A, "relu", [](double X) { return X > 0.0 ? X : 0.0; },
+      A, "relu", [](double X) { return reluValue(X); },
       [](double X, double) { return X > 0.0 ? 1.0 : 0.0; });
 }
 
@@ -340,7 +232,7 @@ Tensor nn::tanhOp(const Tensor &A) {
 
 Tensor nn::sigmoidOp(const Tensor &A) {
   return elementwiseUnary(
-      A, "sigmoid", [](double X) { return 1.0 / (1.0 + std::exp(-X)); },
+      A, "sigmoid", [](double X) { return sigmoidValue(X); },
       [](double, double Y) { return Y * (1.0 - Y); });
 }
 
@@ -376,27 +268,15 @@ Tensor nn::logSoftmaxRows(const Tensor &Logits, const Tensor &Mask) {
   unsigned R = Logits.rows(), C = Logits.cols();
   Tensor Out = makeNode(R, C, Inputs, "logSoftmax");
   TensorNode &Node = *Out.node();
-  const TensorNode *MaskNode = Mask.valid() ? Mask.node().get() : nullptr;
-
-  auto MaskedAt = [&](unsigned I, unsigned J) {
-    if (MaskNode && MaskNode->at(I, J) == 0.0)
-      return MaskedLogit;
-    return Logits.at(I, J);
-  };
-
+  const double *MaskData = Mask.valid() ? Mask.data().data() : nullptr;
   for (unsigned I = 0; I < R; ++I) {
-    double Max = MaskedLogit;
-    for (unsigned J = 0; J < C; ++J)
-      Max = std::max(Max, MaskedAt(I, J));
-    double Sum = 0.0;
-    for (unsigned J = 0; J < C; ++J)
-      Sum += std::exp(MaskedAt(I, J) - Max);
-    double LogSum = Max + std::log(Sum);
-    for (unsigned J = 0; J < C; ++J)
-      Node.at(I, J) = MaskedAt(I, J) - LogSum;
+    const size_t Offset = static_cast<size_t>(I) * C;
+    logSoftmaxRow(Logits.data().data() + Offset,
+                  MaskData ? MaskData + Offset : nullptr, C,
+                  Node.Data.data() + Offset);
   }
 
-  bool HasMask = MaskNode != nullptr;
+  bool HasMask = MaskData != nullptr;
   Node.Backward = [HasMask](TensorNode &Self) {
     TensorNode &In = *Self.Inputs[0];
     if (!In.RequiresGrad)
@@ -414,18 +294,6 @@ Tensor nn::logSoftmaxRows(const Tensor &Logits, const Tensor &Mask) {
         In.gradAt(I, J) += Self.gradAt(I, J) - P * GradSum;
       }
     }
-  };
-  return Out;
-}
-
-Tensor nn::pick(const Tensor &A, unsigned Row, unsigned Col) {
-  assert(Row < A.rows() && Col < A.cols() && "pick index out of range");
-  Tensor Out = makeNode(1, 1, {A}, "pick");
-  Out.node()->Data[0] = A.at(Row, Col);
-  Out.node()->Backward = [Row, Col](TensorNode &Self) {
-    TensorNode &In = *Self.Inputs[0];
-    if (In.RequiresGrad)
-      In.gradAt(Row, Col) += Self.Grad[0];
   };
   return Out;
 }
@@ -464,32 +332,6 @@ Tensor nn::meanOf(const std::vector<Tensor> &Scalars) {
     for (auto &In : Self.Inputs)
       if (In->RequiresGrad)
         In->Grad[0] += Self.Grad[0] * InvN;
-  };
-  return Out;
-}
-
-Tensor nn::concatCols(const Tensor &A, const Tensor &B) {
-  assert(A.rows() == B.rows() && "concatCols row-count mismatch");
-  unsigned R = A.rows(), N = A.cols(), M = B.cols();
-  Tensor Out = makeNode(R, N + M, {A, B}, "concat");
-  TensorNode &Node = *Out.node();
-  for (unsigned I = 0; I < R; ++I) {
-    for (unsigned J = 0; J < N; ++J)
-      Node.at(I, J) = A.at(I, J);
-    for (unsigned J = 0; J < M; ++J)
-      Node.at(I, N + J) = B.at(I, J);
-  }
-  Node.Backward = [N, M](TensorNode &Self) {
-    TensorNode &An = *Self.Inputs[0];
-    TensorNode &Bn = *Self.Inputs[1];
-    for (unsigned I = 0; I < Self.Rows; ++I) {
-      if (An.RequiresGrad)
-        for (unsigned J = 0; J < N; ++J)
-          An.gradAt(I, J) += Self.gradAt(I, J);
-      if (Bn.RequiresGrad)
-        for (unsigned J = 0; J < M; ++J)
-          Bn.gradAt(I, J) += Self.gradAt(I, N + J);
-    }
   };
   return Out;
 }
@@ -560,15 +402,4 @@ Tensor nn::entropyRowsOfLogits(const Tensor &Logits, const Tensor &Mask) {
   Tensor LogP = logSoftmaxRows(Logits, Mask);
   Tensor P = expOp(LogP);
   return rowSums(scale(hadamard(P, LogP), -1.0));
-}
-
-Tensor nn::entropyOfLogits(const Tensor &Logits, const Tensor &Mask) {
-  // H = -sum p log p built from differentiable pieces so gradients flow
-  // through the logits.
-  Tensor LogP = logSoftmaxRows(Logits, Mask);
-  Tensor P = expOp(LogP);
-  Tensor NegPLogP = scale(hadamard(P, LogP), -1.0);
-  // Masked entries have p == 0 and p*logp == 0 (exp(-1e30) underflows),
-  // so summing everything is safe.
-  return sumAll(NegPLogP);
 }

@@ -1,9 +1,10 @@
 //===- Ops.h - Differentiable tensor operations ------------------*- C++-*-===//
 ///
 /// \file
-/// The differentiable operations the actor-critic networks and the PPO
-/// loss are built from. All operate on 2-D tensors; every op returns a new
-/// graph node with a backward closure.
+/// The differentiable operations the PPO update's forward pass and loss
+/// are built from. All operate on 2-D tensors; every op returns a new
+/// graph node with a backward closure. Rollouts never run backward and
+/// use the graph-free forward of nn/Inference.h instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,17 +26,6 @@ Tensor matmul(const Tensor &A, const Tensor &B);
 /// bias gradient.
 Tensor linear(const Tensor &A, const Tensor &W, const Tensor &Bias);
 
-/// Fused concatenated dense layer: C = [X, H] x W + Bias without
-/// materializing the concatenation ([BxF] and [BxG] against W
-/// [(F+G)xN]). Forward accumulates k ascending across the X rows then
-/// the H rows of W -- bitwise what linear(concatCols(X, H), W, Bias)
-/// produces -- but backward only touches the inputs that require
-/// gradients: when X is a non-trainable feature leaf (the LSTM gate
-/// case), the dX product is skipped entirely instead of being computed
-/// and discarded by the concat.
-Tensor linearSplit(const Tensor &X, const Tensor &H, const Tensor &W,
-                   const Tensor &Bias);
-
 /// A batch of mostly-zero feature rows in compressed form: only the
 /// nonzero (column, value) pairs, ascending per row. Observation
 /// feature vectors are ~97% zeros (masking and padding), so compressing
@@ -54,12 +44,13 @@ struct SparseRows {
   fromRows(const std::vector<const std::vector<double> *> &Sources);
 };
 
-/// linearSplit with the X operand in compressed sparse form (shared by
-/// all four gates of an LSTM step, so the batch is compressed once).
-/// Bitwise-identical to the dense product: skipped zeros contribute
-/// nothing and the k / row accumulation orders are unchanged. X is
-/// treated as a constant; backward produces dH, dW (only the nonzero
-/// feature rows) and dBias.
+/// Fused concatenated dense layer with the X operand in compressed
+/// sparse form: C = [X, H] x W + Bias ([BxF] and [BxG] against W
+/// [(F+G)xN]) without materializing the concatenation. All four gates
+/// of an LSTM step share one compression of the batch. Forward
+/// accumulates k ascending across the nonzero X rows then the H rows of
+/// W, so it is bitwise the dense product. X is treated as a constant;
+/// backward produces dH, dW (only the nonzero feature rows) and dBias.
 Tensor linearSplitSparse(const std::shared_ptr<const SparseRows> &X,
                          const Tensor &H, const Tensor &W,
                          const Tensor &Bias);
@@ -96,9 +87,6 @@ Tensor minOp(const Tensor &A, const Tensor &B);
 /// invalid Tensor for no mask.
 Tensor logSoftmaxRows(const Tensor &Logits, const Tensor &Mask = Tensor());
 
-/// Picks one element as a scalar (used for log-prob of a chosen action).
-Tensor pick(const Tensor &A, unsigned Row, unsigned Col);
-
 /// Batched pick: Out[r][0] = A[r][Cols[r]]. A column of -1 contributes
 /// 0.0 and receives no gradient (rows whose policy head is inactive in
 /// a mixed minibatch).
@@ -114,16 +102,9 @@ Tensor meanAll(const Tensor &A);
 /// Mean of a list of scalars (losses across a minibatch).
 Tensor meanOf(const std::vector<Tensor> &Scalars);
 
-/// Concatenates [BxN] and [BxM] (equal row counts) into [Bx(N+M)].
-Tensor concatCols(const Tensor &A, const Tensor &B);
-
 /// Extracts columns [Start, Start+Len) of every row of [BxN] (used to
 /// carve per-loop-level blocks out of the N*M tile heads).
 Tensor sliceCols(const Tensor &A, unsigned Start, unsigned Len);
-
-/// Row-wise entropy of the distribution implied by masked logits:
-/// -sum(p * log p) per row, summed over rows, as a scalar.
-Tensor entropyOfLogits(const Tensor &Logits, const Tensor &Mask = Tensor());
 
 /// Per-row entropy of masked logits as a [Bx1] column (the batched PPO
 /// update's entropy regularizer).

@@ -92,9 +92,9 @@ void destroyNode(TensorNode *Node) {
 } // namespace
 
 Tensor Tensor::zeros(unsigned Rows, unsigned Cols) {
-  // Grad stays unallocated until backward() reaches the node: inference
-  // graphs (rollouts, greedy evaluation) never touch it, which halves
-  // their buffer traffic.
+  // Grad stays unallocated until backward() reaches the node: a
+  // forward-only graph never touches it, which halves its buffer
+  // traffic.
   std::shared_ptr<TensorNode> Node(new TensorNode, destroyNode);
   Node->Rows = Rows;
   Node->Cols = Cols;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <optional>
 
 using namespace mlirrl;
@@ -30,41 +29,81 @@ Tensor packMaskRows(const std::vector<const Observation *> &Batch,
   return Tensor::fromData(B, N, std::move(Packed));
 }
 
-/// Masked greedy argmax over one float logits row: the first valid
-/// index with the strictly greatest logit -- softmax is monotone, so
-/// this is argmaxRow's masked-probability argmax (first-index ties
-/// included) applied to float logits. \p Mask may be null for no mask.
-unsigned argmaxMaskedF32(const float *Logits, unsigned N,
-                         const std::vector<double> *Mask) {
-  assert((!Mask || Mask->size() == N) && "mask width mismatch");
-  unsigned Best = 0;
-  float BestValue = 0.0f;
-  bool Any = false;
-  for (unsigned I = 0; I < N; ++I) {
-    if (Mask && (*Mask)[I] == 0.0)
+/// The one action-space traversal, over plain head logits: forced
+/// pointer continuations, then kind, then the active parameter head
+/// level by level. Row r draws only from *Rngs[r], in the same order
+/// act() draws for that observation, so element r of the result is
+/// bitwise act(*Batch[r], *Rngs[r], Greedy) for any batch width.
+template <typename T>
+std::vector<ActorCritic::Sampled>
+chooseActions(const EnvConfig &Env, const PolicyNet::Logits<T> &Logits,
+              const std::vector<const Observation *> &Batch,
+              const std::vector<Rng *> &Rngs, bool Greedy) {
+  std::vector<ActorCritic::Sampled> Out(Batch.size());
+  std::vector<T> LogProbs; // one head row's log-softmax
+  for (size_t R = 0; R < Batch.size(); ++R) {
+    const Observation &Obs = *Batch[R];
+    AgentAction &Action = Out[R].Action;
+    // Picks from one logits row under its mask (null: none) and adds the
+    // choice's log-probability to the step's.
+    auto Choose = [&](const T *Row, unsigned N,
+                      const std::vector<double> *Mask) {
+      assert((!Mask || Mask->size() == N) && "mask width mismatch");
+      assert((!Mask || std::any_of(Mask->begin(), Mask->end(),
+                                   [](double V) { return V != 0.0; })) &&
+             "drawing from a fully-masked row");
+      LogProbs.resize(N);
+      logSoftmaxRow(Row, Mask ? Mask->data() : nullptr, N, LogProbs.data());
+      unsigned Choice = Greedy ? argmaxRow(LogProbs.data(), N)
+                               : sampleRow(LogProbs.data(), N, *Rngs[R]);
+      Out[R].LogProb += LogProbs[Choice];
+      return Choice;
+    };
+
+    if (Env.ActionSpace == ActionSpaceMode::Flat) {
+      Action.FlatChoice =
+          Choose(Logits.Flat.row(R), Logits.Flat.Cols, &Obs.FlatMask);
       continue;
-    if (!Any || Logits[I] > BestValue) {
-      Any = true;
-      BestValue = Logits[I];
-      Best = I;
+    }
+    Action.FlatChoice = static_cast<unsigned>(-1); // unsampled (as act())
+    auto ChooseInterchange = [&] {
+      return Choose(Logits.Interchange.row(R), Logits.Interchange.Cols,
+                    &Obs.InterchangeMask);
+    };
+    if (Obs.InPointerSequence) {
+      Action.Kind = TransformKind::Interchange;
+      Action.PointerChoice = ChooseInterchange();
+      continue;
+    }
+
+    Action.Kind = static_cast<TransformKind>(Choose(
+        Logits.Transform.row(R), Logits.Transform.Cols, &Obs.TransformMask));
+    switch (Action.Kind) {
+    case TransformKind::Tiling:
+    case TransformKind::TiledParallelization:
+    case TransformKind::TiledFusion: {
+      const Mat<T> &Head = Logits.Tile[PolicyNet::tileHeadIndex(Action.Kind)];
+      Action.TileSizeIdx.assign(Env.MaxLoops, 0);
+      unsigned Levels = std::min(Obs.NumLoops, Env.MaxLoops);
+      for (unsigned L = 0; L < Levels; ++L)
+        Action.TileSizeIdx[L] = Choose(Head.row(R) + L * Env.NumTileSizes,
+                                       Env.NumTileSizes, nullptr);
+      break;
+    }
+    case TransformKind::Interchange: {
+      unsigned Choice = ChooseInterchange();
+      if (Env.Interchange == InterchangeMode::LevelPointers)
+        Action.PointerChoice = Choice;
+      else
+        Action.EnumeratedChoice = Choice;
+      break;
+    }
+    case TransformKind::Vectorization:
+    case TransformKind::NoTransformation:
+      break;
     }
   }
-  assert(Any && "argmax over a fully-masked row");
-  return Best;
-}
-
-/// Masked log-softmax of one entry of a float logits row (max-shifted,
-/// accumulated in double).
-double logProbMaskedF32(const float *Logits, unsigned N,
-                        const std::vector<double> *Mask, unsigned Index) {
-  float Max = Logits[argmaxMaskedF32(Logits, N, Mask)];
-  double Sum = 0.0;
-  for (unsigned I = 0; I < N; ++I) {
-    if (Mask && (*Mask)[I] == 0.0)
-      continue;
-    Sum += std::exp(static_cast<double>(Logits[I]) - Max);
-  }
-  return static_cast<double>(Logits[Index]) - Max - std::log(Sum);
+  return Out;
 }
 
 /// Lazily constructed per-(head, level) batched tile distributions: a
@@ -123,104 +162,32 @@ ActorCritic::evaluate(const Observation &Obs,
 std::vector<ActorCritic::Sampled>
 ActorCritic::actBatch(const std::vector<const Observation *> &Batch,
                       const std::vector<Rng *> &Rngs, bool Greedy) const {
-  assert(Batch.size() == Rngs.size() && "one RNG stream per observation");
+  assert(!Batch.empty() && Batch.size() == Rngs.size() &&
+         "one RNG stream per observation");
+  // Compressed once for the actor and the critic.
+  std::shared_ptr<const SparseRows> Producer =
+      PolicyNet::compressRows(Batch, &Observation::Producer);
+  std::shared_ptr<const SparseRows> Consumer =
+      PolicyNet::compressRows(Batch, &Observation::Consumer);
   // Greedy inference consumes no RNG draws and no critic values, so the
-  // packed float policy can stand in for the whole forward pass.
-  if (Greedy && Inference == InferenceDtype::F32)
-    return actBatchGreedyF32(Batch);
-  unsigned B = static_cast<unsigned>(Batch.size());
-  PolicyNet::Heads Heads = Policy.forward(Batch);
-  std::vector<Sampled> Out(B);
-
+  // whole forward pass can run in float.
+  if (Greedy && Inference == InferenceDtype::F32) {
+    std::shared_ptr<const PackedF32> Packed = packedPolicy();
+    return chooseActions(
+        Env, Policy.forwardLogits(*Producer, *Consumer, Packed->values()),
+        Batch, Rngs, Greedy);
+  }
+  std::vector<Sampled> Out = chooseActions(
+      Env,
+      Policy.forwardLogits(*Producer, *Consumer,
+                           valuesOf(Policy.parameters())),
+      Batch, Rngs, Greedy);
   // Rollouts store the critic's baseline; greedy (deployment) inference
-  // only consumes the argmax actions, exactly as in act().
+  // only consumes the actions.
   if (!Greedy) {
-    Tensor Values = Value.forward(Batch);
-    for (unsigned R = 0; R < B; ++R)
-      Out[R].Value = Values.at(R, 0);
-  }
-
-  if (Env.ActionSpace == ActionSpaceMode::Flat) {
-    BatchedMaskedCategorical Dist(Heads.FlatLogits,
-                                  packMaskRows(Batch, &Observation::FlatMask));
-    for (unsigned R = 0; R < B; ++R) {
-      unsigned Choice =
-          Greedy ? Dist.argmaxRow(R) : Dist.sampleRow(R, *Rngs[R]);
-      Out[R].Action.FlatChoice = Choice;
-      Out[R].LogProb = Dist.logProbValue(R, Choice);
-    }
-    return Out;
-  }
-
-  BatchedMaskedCategorical KindDist(
-      Heads.TransformLogits, packMaskRows(Batch, &Observation::TransformMask));
-  // The interchange head is only consulted for pointer continuations
-  // and sampled Interchange actions; build its batch-wide softmax on
-  // first use (like the tile heads) instead of on every step.
-  std::optional<BatchedMaskedCategorical> InterDistSlot;
-  auto InterDist = [&]() -> BatchedMaskedCategorical & {
-    if (!InterDistSlot)
-      InterDistSlot.emplace(
-          Heads.InterchangeLogits,
-          packMaskRows(Batch, &Observation::InterchangeMask));
-    return *InterDistSlot;
-  };
-  TileDistCache TileDists(Policy, Heads, Env.MaxLoops);
-
-  // Each row consumes only its own RNG stream, and draws in the same
-  // order act() draws for that observation (kind, then the active
-  // parameter head level by level), so the resulting action, log-prob
-  // and value are bitwise those of the single-observation path.
-  for (unsigned R = 0; R < B; ++R) {
-    const Observation &Obs = *Batch[R];
-    Rng &SampleRng = *Rngs[R];
-    AgentAction &Action = Out[R].Action;
-    Action.FlatChoice = static_cast<unsigned>(-1); // unsampled (as act())
-    auto Choose = [&](const BatchedMaskedCategorical &Dist) {
-      return Greedy ? Dist.argmaxRow(R) : Dist.sampleRow(R, SampleRng);
-    };
-
-    if (Obs.InPointerSequence) {
-      unsigned Choice = Choose(InterDist());
-      Action.Kind = TransformKind::Interchange;
-      Action.PointerChoice = Choice;
-      Out[R].LogProb = InterDist().logProbValue(R, Choice);
-      continue;
-    }
-
-    unsigned KindChoice = Choose(KindDist);
-    Action.Kind = static_cast<TransformKind>(KindChoice);
-    double LogProb = KindDist.logProbValue(R, KindChoice);
-
-    switch (Action.Kind) {
-    case TransformKind::Tiling:
-    case TransformKind::TiledParallelization:
-    case TransformKind::TiledFusion: {
-      unsigned HeadIdx = PolicyNet::tileHeadIndex(Action.Kind);
-      Action.TileSizeIdx.assign(Env.MaxLoops, 0);
-      unsigned Levels = std::min(Obs.NumLoops, Env.MaxLoops);
-      for (unsigned L = 0; L < Levels; ++L) {
-        BatchedMaskedCategorical &Dist = TileDists.get(HeadIdx, L);
-        unsigned Choice = Choose(Dist);
-        Action.TileSizeIdx[L] = Choice;
-        LogProb += Dist.logProbValue(R, Choice);
-      }
-      break;
-    }
-    case TransformKind::Interchange: {
-      unsigned Choice = Choose(InterDist());
-      if (Env.Interchange == InterchangeMode::LevelPointers)
-        Action.PointerChoice = Choice;
-      else
-        Action.EnumeratedChoice = Choice;
-      LogProb += InterDist().logProbValue(R, Choice);
-      break;
-    }
-    case TransformKind::Vectorization:
-    case TransformKind::NoTransformation:
-      break;
-    }
-    Out[R].LogProb = LogProb;
+    Mat<double> Values = Value.forwardValues(*Producer, *Consumer);
+    for (size_t R = 0; R < Out.size(); ++R)
+      Out[R].Value = Values.at(static_cast<unsigned>(R), 0);
   }
   return Out;
 }
@@ -242,98 +209,17 @@ void ActorCritic::invalidateInferenceCache() {
   PackedVersion = 0;
 }
 
-std::shared_ptr<const PolicyNetF32> ActorCritic::packedPolicy() const {
+std::shared_ptr<const PackedF32> ActorCritic::packedPolicy() const {
   std::lock_guard<std::mutex> Lock(PackLock);
   for (;;) {
     uint64_t Version = ParamVersion.load(std::memory_order_acquire);
     if (Packed && PackedVersion == Version)
       return Packed;
-    Packed = std::make_shared<const PolicyNetF32>(Policy);
+    Packed = std::make_shared<const PackedF32>(Policy.parameters());
     PackedVersion = Version;
     // Loop to recheck: if an invalidation bumped the version while we
     // packed, the pack may predate the newest parameters -- rebuild.
   }
-}
-
-std::vector<ActorCritic::Sampled> ActorCritic::actBatchGreedyF32(
-    const std::vector<const Observation *> &Batch) const {
-  unsigned B = static_cast<unsigned>(Batch.size());
-  std::shared_ptr<const PolicyNetF32> Net = packedPolicy();
-  PolicyNetF32::Heads Heads = Net->forward(Batch);
-  std::vector<Sampled> Out(B);
-
-  if (Env.ActionSpace == ActionSpaceMode::Flat) {
-    for (unsigned R = 0; R < B; ++R) {
-      const float *Row = Heads.FlatLogits.row(R);
-      unsigned N = Heads.FlatLogits.Cols;
-      unsigned Choice = argmaxMaskedF32(Row, N, &Batch[R]->FlatMask);
-      Out[R].Action.FlatChoice = Choice;
-      Out[R].LogProb = logProbMaskedF32(Row, N, &Batch[R]->FlatMask, Choice);
-    }
-    return Out;
-  }
-
-  // The same action-space traversal as the f64 greedy branch: forced
-  // pointer continuations, then kind, then the active parameter head
-  // level by level.
-  for (unsigned R = 0; R < B; ++R) {
-    const Observation &Obs = *Batch[R];
-    AgentAction &Action = Out[R].Action;
-    Action.FlatChoice = static_cast<unsigned>(-1); // unsampled (as act())
-    const float *InterRow = Heads.InterchangeLogits.row(R);
-    unsigned InterN = Heads.InterchangeLogits.Cols;
-
-    if (Obs.InPointerSequence) {
-      unsigned Choice = argmaxMaskedF32(InterRow, InterN,
-                                        &Obs.InterchangeMask);
-      Action.Kind = TransformKind::Interchange;
-      Action.PointerChoice = Choice;
-      Out[R].LogProb =
-          logProbMaskedF32(InterRow, InterN, &Obs.InterchangeMask, Choice);
-      continue;
-    }
-
-    const float *KindRow = Heads.TransformLogits.row(R);
-    unsigned KindN = Heads.TransformLogits.Cols;
-    unsigned KindChoice = argmaxMaskedF32(KindRow, KindN, &Obs.TransformMask);
-    Action.Kind = static_cast<TransformKind>(KindChoice);
-    double LogProb =
-        logProbMaskedF32(KindRow, KindN, &Obs.TransformMask, KindChoice);
-
-    switch (Action.Kind) {
-    case TransformKind::Tiling:
-    case TransformKind::TiledParallelization:
-    case TransformKind::TiledFusion: {
-      unsigned HeadIdx = PolicyNet::tileHeadIndex(Action.Kind);
-      Action.TileSizeIdx.assign(Env.MaxLoops, 0);
-      unsigned Levels = std::min(Obs.NumLoops, Env.MaxLoops);
-      for (unsigned L = 0; L < Levels; ++L) {
-        const float *Row = Net->tileRow(Heads, HeadIdx, L, R);
-        unsigned N = Net->tileRowWidth();
-        unsigned Choice = argmaxMaskedF32(Row, N, nullptr);
-        Action.TileSizeIdx[L] = Choice;
-        LogProb += logProbMaskedF32(Row, N, nullptr, Choice);
-      }
-      break;
-    }
-    case TransformKind::Interchange: {
-      unsigned Choice = argmaxMaskedF32(InterRow, InterN,
-                                        &Obs.InterchangeMask);
-      if (Env.Interchange == InterchangeMode::LevelPointers)
-        Action.PointerChoice = Choice;
-      else
-        Action.EnumeratedChoice = Choice;
-      LogProb +=
-          logProbMaskedF32(InterRow, InterN, &Obs.InterchangeMask, Choice);
-      break;
-    }
-    case TransformKind::Vectorization:
-    case TransformKind::NoTransformation:
-      break;
-    }
-    Out[R].LogProb = LogProb;
-  }
-  return Out;
 }
 
 ActorCritic::BatchEvaluation

@@ -7,12 +7,17 @@
 /// multi-discrete log-probability of a step is the sum over its active
 /// heads.
 ///
+/// Acting runs the graph-free forward pass of nn/Inference.h; only the
+/// PPO update's evaluateBatch builds an autograd graph. In F64 the two
+/// agree bitwise, so the log-prob and value a rollout stores are exactly
+/// what the update recomputes before any parameter changes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MLIRRL_RL_AGENT_H
 #define MLIRRL_RL_AGENT_H
 
-#include "rl/PolicyNetF32.h"
+#include "rl/PolicyNet.h"
 
 #include <atomic>
 #include <memory>
@@ -22,8 +27,9 @@ namespace mlirrl {
 
 /// Element type greedy policy inference runs in. Training, sampling
 /// rollouts and the critic always run in F64 (the bitwise-deterministic
-/// path); F32 routes greedy actBatch/act calls through a packed float
-/// copy of the policy on the float SIMD GEMM kernels.
+/// path); F32 runs greedy actBatch/act calls' forward pass in float, on
+/// a packed float copy of the policy parameters and the float SIMD GEMM
+/// kernels.
 enum class InferenceDtype {
   F64, ///< Default: every forward pass in double.
   F32, ///< Greedy inference on the packed float policy.
@@ -85,8 +91,8 @@ public:
   const EnvConfig &getEnvConfig() const { return Env; }
 
   /// Selects the greedy-inference element type (default F64). F32 only
-  /// changes how greedy act/actBatch calls compute their logits; every
-  /// other path is untouched.
+  /// changes the element type greedy act/actBatch calls compute in;
+  /// every other path is untouched.
   void setInferenceDtype(InferenceDtype Dtype);
   InferenceDtype inferenceDtype() const { return Inference; }
 
@@ -111,14 +117,10 @@ public:
   }
 
 private:
-  /// The greedy branch of actBatch on the packed float policy.
-  std::vector<Sampled>
-  actBatchGreedyF32(const std::vector<const Observation *> &Batch) const;
-
-  /// The packed policy, building it on first use (thread-safe; returns
-  /// a shared snapshot so a concurrent invalidation cannot free it
-  /// mid-forward).
-  std::shared_ptr<const PolicyNetF32> packedPolicy() const;
+  /// The packed float policy parameters, packing them on first use
+  /// (thread-safe; returns a shared snapshot so a concurrent
+  /// invalidation cannot free it mid-forward).
+  std::shared_ptr<const nn::PackedF32> packedPolicy() const;
 
   EnvConfig Env;
   PolicyNet Policy;
@@ -130,7 +132,7 @@ private:
   /// always reads as stale.
   mutable std::atomic<uint64_t> ParamVersion{1};
   mutable std::mutex PackLock;
-  mutable std::shared_ptr<const PolicyNetF32> Packed;
+  mutable std::shared_ptr<const nn::PackedF32> Packed;
   /// The ParamVersion the cached pack was built from (guarded by
   /// PackLock).
   mutable uint64_t PackedVersion = 0;

@@ -185,6 +185,66 @@ RolloutStep ckpt::readRolloutStep(ChunkReader &R) {
 }
 
 //===----------------------------------------------------------------------===//
+// Agent parameters
+//===----------------------------------------------------------------------===//
+
+/// Reads the parameter chunk into staged copies, checking the tensor
+/// count and every shape against \p Params; nothing is written.
+static Expected<std::vector<std::vector<double>>>
+stageParameters(const ArchiveReader &Reader,
+                const std::vector<nn::Tensor> &Params) {
+  using Staged = std::vector<std::vector<double>>;
+  Expected<ChunkReader> Prm = Reader.chunk(kParamsTag);
+  if (!Prm)
+    return makeError<Staged>(Prm.getError());
+  uint64_t ParamCount = Prm->readU64();
+  if (!Prm->ok() || ParamCount != Params.size())
+    return makeError<Staged>(
+        "parameter chunk holds " + std::to_string(ParamCount) +
+        " tensors, agent has " + std::to_string(Params.size()) +
+        " (checkpoint from a different architecture?)");
+  Staged NewData(Params.size());
+  for (size_t I = 0; I < Params.size(); ++I) {
+    unsigned Rows = Prm->readU32();
+    unsigned Cols = Prm->readU32();
+    NewData[I] = Prm->readDoubles();
+    if (!Prm->ok())
+      return makeError<Staged>("parameter chunk: " + Prm->error());
+    if (Rows != Params[I].rows() || Cols != Params[I].cols() ||
+        NewData[I].size() != Params[I].size())
+      return makeError<Staged>(
+          "parameter " + std::to_string(I) + " is " + std::to_string(Rows) +
+          "x" + std::to_string(Cols) + " in the checkpoint but " +
+          std::to_string(Params[I].rows()) + "x" +
+          std::to_string(Params[I].cols()) +
+          " in the agent (checkpoint from a different architecture?)");
+  }
+  return NewData;
+}
+
+static void commitParameters(const std::vector<nn::Tensor> &Params,
+                             const std::vector<std::vector<double>> &Staged) {
+  for (size_t I = 0; I < Params.size(); ++I)
+    Params[I].node()->Data.assign(Staged[I].begin(), Staged[I].end());
+}
+
+Expected<bool> mlirrl::loadAgentParameters(ActorCritic &Agent,
+                                           const std::string &Path) {
+  Expected<ArchiveReader> Reader =
+      ArchiveReader::fromFile(Path, CheckpointFormatVersion);
+  if (!Reader)
+    return makeError<bool>("checkpoint " + Path + ": " + Reader.getError());
+  std::vector<nn::Tensor> Params = Agent.parameters();
+  Expected<std::vector<std::vector<double>>> Staged =
+      stageParameters(*Reader, Params);
+  if (!Staged)
+    return makeError<bool>("checkpoint " + Path + ": " + Staged.getError());
+  commitParameters(Params, *Staged);
+  Agent.invalidateInferenceCache();
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
 // PpoTrainer state (declared in rl/Ppo.h)
 //===----------------------------------------------------------------------===//
 
@@ -238,31 +298,10 @@ Expected<bool> PpoTrainer::restoreState(const ArchiveReader &Reader) {
     return makeError<bool>("config chunk: " + Cfg->error());
 
   std::vector<nn::Tensor> Params = Agent.parameters();
-  Expected<ChunkReader> Prm = Reader.chunk(kParamsTag);
-  if (!Prm)
-    return makeError<bool>(Prm.getError());
-  uint64_t ParamCount = Prm->readU64();
-  if (!Prm->ok() || ParamCount != Params.size())
-    return makeError<bool>(
-        "parameter chunk holds " + std::to_string(ParamCount) +
-        " tensors, agent has " + std::to_string(Params.size()) +
-        " (checkpoint from a different architecture?)");
-  std::vector<std::vector<double>> NewData(Params.size());
-  for (size_t I = 0; I < Params.size(); ++I) {
-    unsigned Rows = Prm->readU32();
-    unsigned Cols = Prm->readU32();
-    NewData[I] = Prm->readDoubles();
-    if (!Prm->ok())
-      return makeError<bool>("parameter chunk: " + Prm->error());
-    if (Rows != Params[I].rows() || Cols != Params[I].cols() ||
-        NewData[I].size() != Params[I].size())
-      return makeError<bool>(
-          "parameter " + std::to_string(I) + " is " + std::to_string(Rows) +
-          "x" + std::to_string(Cols) + " in the checkpoint but " +
-          std::to_string(Params[I].rows()) + "x" +
-          std::to_string(Params[I].cols()) +
-          " in the agent (checkpoint from a different architecture?)");
-  }
+  Expected<std::vector<std::vector<double>>> NewData =
+      stageParameters(Reader, Params);
+  if (!NewData)
+    return makeError<bool>(NewData.getError());
 
   Expected<ChunkReader> Adm = Reader.chunk(kAdamTag);
   if (!Adm)
@@ -317,8 +356,7 @@ Expected<bool> PpoTrainer::restoreState(const ArchiveReader &Reader) {
 
   // Commit. Nothing below can fail.
   Config = NewConfig;
-  for (size_t I = 0; I < Params.size(); ++I)
-    Params[I].node()->Data.assign(NewData[I].begin(), NewData[I].end());
+  commitParameters(Params, *NewData);
   bool AdamOk = Optimizer.setState(std::move(AdamState));
   assert(AdamOk && "validated Adam state failed to apply");
   (void)AdamOk;

@@ -79,6 +79,13 @@ Expected<bool> saveCheckpoint(const PpoTrainer &Trainer,
 Expected<bool> loadCheckpoint(PpoTrainer &Trainer, const std::string &Path,
                               ShardedDataset *Stream = nullptr);
 
+/// Restores only the agent parameters of the checkpoint at \p Path: the
+/// frozen-policy load of a server, which has no trainer. Validates the
+/// parameter chunk (tensor count and shapes) before writing anything,
+/// then drops the agent's packed inference cache. On failure the agent
+/// is untouched.
+Expected<bool> loadAgentParameters(ActorCritic &Agent, const std::string &Path);
+
 /// Rotating checkpoint files for long trainings: save() writes
 /// <dir>/<prefix>-<iteration>.ckpt atomically and prunes all but the
 /// newest KeepLast checkpoints; loadLatest() resumes from the newest.

@@ -33,9 +33,9 @@ struct MlirRlOptions {
 
   /// Element type for greedy policy inference (optimize() rollouts).
   /// F64 (the default) keeps every forward pass on the
-  /// bitwise-deterministic double path; F32 routes greedy inference
-  /// through a packed float copy of the policy on the float SIMD GEMM
-  /// kernels (~2x the logits throughput, float-level relative error --
+  /// bitwise-deterministic double path; F32 runs the same graph-free
+  /// forward in float, on a packed float copy of the policy parameters
+  /// and the float SIMD GEMM kernels (float-level relative error --
   /// bounded by tests/rl/InferenceF32Test). Training is unaffected
   /// either way.
   InferenceDtype Inference = InferenceDtype::F64;

@@ -9,6 +9,53 @@
 using namespace mlirrl;
 using namespace mlirrl::nn;
 
+namespace {
+
+/// Hands out a parameter list's (weight, bias) pairs in parameters()
+/// order, shaped by the layer that owns them.
+template <typename T> class WeightCursor {
+public:
+  explicit WeightCursor(const std::vector<const T *> &Params)
+      : Params(Params) {}
+
+  LinearWeights<T> next(unsigned In, unsigned Out) {
+    assert(Next + 2 <= Params.size() && "parameter list too short");
+    LinearWeights<T> L{Params[Next], Params[Next + 1], In, Out};
+    Next += 2;
+    return L;
+  }
+  LinearWeights<T> next(const Linear &L) {
+    return next(L.inFeatures(), L.outFeatures());
+  }
+  bool done() const { return Next == Params.size(); }
+
+private:
+  const std::vector<const T *> &Params;
+  size_t Next = 0;
+};
+
+/// The trunk both networks share: the producer-consumer LSTM embedding
+/// (Sec. V-A1), then the ReLU backbone.
+template <typename T>
+Mat<T> trunkForward(const LstmCell &Lstm, const Mlp &Backbone,
+                    WeightCursor<T> &Weights, const SparseRows &Producer,
+                    const SparseRows &Consumer) {
+  // Gate widths come from the cell, not the data, so lstmForward's shape
+  // assert checks the feature width against the weights.
+  const unsigned Hidden = Lstm.hiddenSize();
+  const unsigned In = Lstm.inputSize() + Hidden;
+  // Braced initializers are evaluated in order: the gates' order in
+  // LstmCell::parameters().
+  LstmWeights<T> Gates{Weights.next(In, Hidden), Weights.next(In, Hidden),
+                       Weights.next(In, Hidden), Weights.next(In, Hidden)};
+  std::vector<LinearWeights<T>> Layers;
+  for (const Linear &L : Backbone.layers())
+    Layers.push_back(Weights.next(L));
+  return mlpForward(lstmForward<T>({&Producer, &Consumer}, Gates), Layers);
+}
+
+} // namespace
+
 PolicyNet::PolicyNet(const EnvConfig &Env, unsigned FeatureSize,
                      NetConfig Net, Rng &Rng)
     : Env(Env), Space(Env), Lstm(FeatureSize, Net.LstmHidden, Rng),
@@ -58,6 +105,33 @@ PolicyNet::forward(const std::vector<const Observation *> &Batch) const {
   H.InterchangeLogits = InterchangeHead.forward(Features);
   return H;
 }
+
+template <typename T>
+PolicyNet::Logits<T>
+PolicyNet::forwardLogits(const SparseRows &Producer, const SparseRows &Consumer,
+                         const std::vector<const T *> &Params) const {
+  WeightCursor<T> Weights(Params);
+  Mat<T> Features =
+      trunkForward(Lstm, Backbone, Weights, Producer, Consumer);
+  Logits<T> Out;
+  if (FlatMode) {
+    Out.Flat = linearForward(Features, Weights.next(FlatHead));
+  } else {
+    Out.Transform = linearForward(Features, Weights.next(TransformHead));
+    for (const Linear &Head : TileHeads)
+      Out.Tile.push_back(linearForward(Features, Weights.next(Head)));
+    Out.Interchange = linearForward(Features, Weights.next(InterchangeHead));
+  }
+  assert(Weights.done() && "parameter list does not match the network");
+  return Out;
+}
+
+template PolicyNet::Logits<double>
+PolicyNet::forwardLogits(const SparseRows &, const SparseRows &,
+                         const std::vector<const double *> &) const;
+template PolicyNet::Logits<float>
+PolicyNet::forwardLogits(const SparseRows &, const SparseRows &,
+                         const std::vector<const float *> &) const;
 
 unsigned PolicyNet::tileHeadIndex(TransformKind Kind) {
   switch (Kind) {
@@ -109,6 +183,15 @@ Tensor ValueNet::forward(const std::vector<const Observation *> &Batch) const {
       {PolicyNet::compressRows(Batch, &Observation::Producer),
        PolicyNet::compressRows(Batch, &Observation::Consumer)});
   return Head.forward(Backbone.forward(Embedding));
+}
+
+Mat<double> ValueNet::forwardValues(const SparseRows &Producer,
+                                    const SparseRows &Consumer) const {
+  std::vector<const double *> Params = valuesOf(parameters());
+  WeightCursor<double> Weights(Params);
+  Mat<double> Features =
+      trunkForward(Lstm, Backbone, Weights, Producer, Consumer);
+  return linearForward(Features, Weights.next(Head));
 }
 
 std::vector<Tensor> ValueNet::parameters() const {

@@ -15,6 +15,7 @@
 #define MLIRRL_RL_POLICYNET_H
 
 #include "env/Environment.h"
+#include "nn/Inference.h"
 #include "nn/Lstm.h"
 
 namespace mlirrl {
@@ -53,6 +54,23 @@ public:
   /// Single-observation convenience: a batch of one.
   Heads forward(const Observation &Obs) const { return forward({&Obs}); }
 
+  /// Head logits of the graph-free forward pass (the rollouts' policy).
+  template <typename T> struct Logits {
+    nn::Mat<T> Transform;
+    std::vector<nn::Mat<T>> Tile;
+    nn::Mat<T> Interchange;
+    nn::Mat<T> Flat;
+  };
+
+  /// forward() without a graph, on the batch's compressed producer and
+  /// consumer rows. \p Params holds one pointer per tensor of
+  /// parameters(), in order: the tensors' own values (the double
+  /// instantiation is then bitwise forward()) or a packed float copy.
+  template <typename T>
+  Logits<T> forwardLogits(const nn::SparseRows &Producer,
+                          const nn::SparseRows &Consumer,
+                          const std::vector<const T *> &Params) const;
+
   /// The tile head index for a tiled transformation kind (0..2).
   static unsigned tileHeadIndex(TransformKind Kind);
 
@@ -64,14 +82,12 @@ public:
   const EnvConfig &getEnvConfig() const { return Env; }
 
   /// Compresses one observation field across the batch into the sparse
-  /// form the LSTM gates consume (shared by the f64 embedding and the
-  /// packed f32 inference path).
+  /// form the LSTM gates consume.
   static std::shared_ptr<const nn::SparseRows>
   compressRows(const std::vector<const Observation *> &Batch,
                const std::vector<double> Observation::*Field);
 
 private:
-  friend class PolicyNetF32; // packs the layers into float copies
   nn::Tensor embed(const std::vector<const Observation *> &Batch) const;
 
   EnvConfig Env;
@@ -95,6 +111,12 @@ public:
   /// Batched value estimates [B x 1], one row per observation.
   nn::Tensor forward(const std::vector<const Observation *> &Batch) const;
   nn::Tensor forward(const Observation &Obs) const { return forward({&Obs}); }
+
+  /// forward() without a graph, bitwise: [B x 1] values from the batch's
+  /// compressed producer and consumer rows.
+  nn::Mat<double> forwardValues(const nn::SparseRows &Producer,
+                                const nn::SparseRows &Consumer) const;
+
   std::vector<nn::Tensor> parameters() const;
 
 private:

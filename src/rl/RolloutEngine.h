@@ -17,9 +17,11 @@
 /// ActionSource owns the decision. The engine is parameterized by the
 /// Evaluator rewards are measured through -- a shared lock-striped
 /// CachingEvaluator makes concurrent rollouts reuse each other's
-/// prices -- and inherits the agent's InferenceDtype (F32 routes
-/// greedy logits through the packed float policy; sampling and the
-/// critic always stay on the bitwise-deterministic double path).
+/// prices -- and inherits the agent's InferenceDtype (F32 runs greedy
+/// steps' forward pass in float; sampling and the critic always stay on
+/// the bitwise-deterministic double path). Actions come from the
+/// agent's graph-free forward pass, so rollouts build no autograd
+/// graph.
 ///
 /// Determinism contract (inherited from the loops it replaced and
 /// test-gated by RolloutEquivalenceTest): episodes only consume their
@@ -110,7 +112,7 @@ public:
               const std::vector<Rng *> &Rngs, const Options &Opts) const;
 
   /// Greedy (argmax) group: no RNG draws, no critic evaluation; the
-  /// agent's InferenceDtype selects the f64 or packed-f32 logits path.
+  /// agent's InferenceDtype selects the forward pass's element type.
   /// This is the serving batch: B concurrent requests advance as one
   /// policy GEMM per lockstep step.
   std::vector<Episode> greedyGroup(const std::vector<const Module *> &Samples,

@@ -15,7 +15,7 @@ ScheduleServer::ScheduleServer(ServeOptions Opts)
       Memo(Run, Opts.MemoCapacity, Opts.MemoShards),
       Agent(Opts.Env, Featurizer(Opts.Env).featureSize(), Opts.Net,
             Opts.Seed),
-      Trainer(Agent, Memo, Opts.Ppo), Engine(Agent, Memo) {
+      Engine(Agent, Memo) {
   Agent.setInferenceDtype(Options.Inference);
   const unsigned Count = std::max(1u, Options.Workers);
   WorkerThreads.reserve(Count);
@@ -28,12 +28,12 @@ ScheduleServer::~ScheduleServer() { shutdown(); }
 Expected<bool> ScheduleServer::loadPolicy(const std::string &Path) {
   // Exclusive: waits for the in-flight batch (which holds the lock
   // shared) to finish, blocks the next batch until the swap is done.
-  // loadCheckpoint validates the whole archive before mutating, so a
+  // loadAgentParameters validates the parameters before mutating, so a
   // bad file leaves the serving policy untouched; a good one ends in
-  // invalidateInferenceCache(), whose version stamp retires any
-  // packed-f32 snapshot a racing rebuild might otherwise republish.
+  // invalidateInferenceCache(), whose version stamp retires any packed
+  // float snapshot a racing repack might otherwise republish.
   std::unique_lock<std::shared_mutex> Lock(PolicyLock);
-  Expected<bool> Result = loadCheckpoint(Trainer, Path);
+  Expected<bool> Result = loadAgentParameters(Agent, Path);
   if (Result)
     PolicyReloads.fetch_add(1, std::memory_order_relaxed);
   return Result;

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// A long-lived, in-process serving front end for a frozen policy: load
-/// a trainer checkpoint once, then answer "optimize this module"
-/// requests with the greedy schedule and its predicted speedup.
+/// the agent parameters of a trainer checkpoint, then answer "optimize
+/// this module" requests with the greedy schedule and its predicted
+/// speedup.
 /// Requests enter as untrusted IR text through the importModule gate
 /// (caps -> parser -> verifier -> sanitizer), so a hostile module is a
 /// clean rejection, never a crash.
@@ -27,9 +28,9 @@
 /// shutdown begins, submissions and still-queued requests reject under
 /// robustness.server_shutdown. Checkpoint reloads (loadPolicy) take the
 /// policy lock exclusively, so a batch is always served end-to-end by
-/// one policy version -- no torn reads, no stale packed-f32 snapshots
-/// (the agent's version-stamped inference cache covers the rebuild
-/// race; ServeReloadTest hammers both under threads).
+/// one policy version -- no torn reads, no stale packed float weights
+/// under F32 inference (the agent's version-stamped cache covers the
+/// repack race; ServeReloadTest hammers both under threads).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +39,6 @@
 
 #include "ir/Parser.h"
 #include "perf/Runner.h"
-#include "rl/Ppo.h"
 #include "rl/RolloutEngine.h"
 
 #include <atomic>
@@ -59,13 +59,12 @@ namespace mlirrl {
 struct ServeOptions {
   EnvConfig Env;
   NetConfig Net;
-  /// Only the trainer scaffolding reads this (the server never trains);
-  /// Seed feeds the internal trainer's RNG scaffolding too.
-  PpoConfig Ppo;
   MachineModel Machine = MachineModel::xeonE5_2680v4();
   RunnerOptions Runner;
   /// Greedy-inference element type (F32 = packed float fast path).
   InferenceDtype Inference = InferenceDtype::F64;
+  /// Seeds the agent's initial parameters (served until the first
+  /// loadPolicy).
   uint64_t Seed = 1234;
   /// Requests rolled together per lockstep batch (the serving-side
   /// analogue of the training batch width).
@@ -123,7 +122,8 @@ public:
   ScheduleServer(const ScheduleServer &) = delete;
   ScheduleServer &operator=(const ScheduleServer &) = delete;
 
-  /// Loads a frozen policy from the trainer checkpoint at \p Path.
+  /// Loads a frozen policy: the agent parameters of the trainer
+  /// checkpoint at \p Path.
   /// Takes the policy lock exclusively: in-flight batches finish on
   /// the old policy first, later batches serve the new one. Validates
   /// before mutating -- on error the previous policy keeps serving.
@@ -169,10 +169,6 @@ private:
   /// The cross-request memo every served episode prices through.
   CachingEvaluator Memo;
   ActorCritic Agent;
-  /// Exists to reuse the checkpoint restore path (loadCheckpoint
-  /// validates archives end-to-end before touching the agent); the
-  /// server never calls its training entry points.
-  PpoTrainer Trainer;
   RolloutEngine Engine;
 
   /// Held shared while a batch is served, exclusively by loadPolicy.

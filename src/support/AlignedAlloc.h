@@ -2,8 +2,8 @@
 ///
 /// \file
 /// A minimal std::allocator replacement with a compile-time alignment
-/// guarantee, so hot numeric buffers (the tensor arena, the float
-/// inference matrices) start on SIMD-friendly boundaries. The GEMM
+/// guarantee, so hot numeric buffers (the tensor arena, the graph-free
+/// forward's matrices) start on SIMD-friendly boundaries. The GEMM
 /// kernels tolerate unaligned operands -- sub-matrix views and odd
 /// leading dimensions are legal -- but aligned bases let full-buffer
 /// elementwise sweeps and packed panels use aligned vector moves.

@@ -5,7 +5,8 @@
 // size, and log-softmax is row-wise, so row r of a batched forward must
 // be *bitwise* identical (0 ULP) to a single-observation forward of
 // observation r -- the property the VecEnv determinism contract rests
-// on. Verified here for batch sizes 1, 2 and 32 on both networks.
+// on. Verified here for batch sizes 1, 2 and 32 on both networks, along
+// with the graph-free rollout forward against the autograd one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -149,6 +150,53 @@ TEST_P(BatchedForwardFixture, FlatHeadMatchesPerSampleForward) {
   for (unsigned R = 0; R < B; ++R) {
     PolicyNet::Heads Single = Policy.forward(Obs[R]);
     expectRowMatchesSingle(Batched.FlatLogits, Single.FlatLogits, R);
+  }
+}
+
+TEST_P(BatchedForwardFixture, GraphFreeForwardMatchesAutograd) {
+  // Rollouts act through the graph-free forward, the PPO update through
+  // autograd: every head and the value must agree at 0 ULP.
+  unsigned B = GetParam();
+  for (ActionSpaceMode Mode :
+       {ActionSpaceMode::MultiDiscrete, ActionSpaceMode::Flat}) {
+    EnvConfig Config = EnvConfig::laptop();
+    Config.ActionSpace = Mode;
+    Runner Run(MachineModel::xeonE5_2680v4());
+    std::vector<Observation> Obs = collectObservations(Config, Run, B);
+    unsigned FeatureSize = Featurizer(Config).featureSize();
+    Rng PolicyRng(8), ValueRng(9);
+    PolicyNet Policy(Config, FeatureSize, tinyNet(), PolicyRng);
+    ValueNet Value(Config, FeatureSize, tinyNet(), ValueRng);
+
+    std::vector<const Observation *> Batch;
+    for (const Observation &O : Obs)
+      Batch.push_back(&O);
+    std::shared_ptr<const SparseRows> Producer =
+        PolicyNet::compressRows(Batch, &Observation::Producer);
+    std::shared_ptr<const SparseRows> Consumer =
+        PolicyNet::compressRows(Batch, &Observation::Consumer);
+
+    auto ExpectSame = [](const Mat<double> &Plain, const Tensor &Graph) {
+      ASSERT_EQ(Plain.Rows, Graph.rows());
+      ASSERT_EQ(Plain.Cols, Graph.cols());
+      for (unsigned R = 0; R < Plain.Rows; ++R)
+        for (unsigned C = 0; C < Plain.Cols; ++C)
+          EXPECT_SAME_BITS(Plain.at(R, C), Graph.at(R, C));
+    };
+    PolicyNet::Heads Graph = Policy.forward(Batch);
+    PolicyNet::Logits<double> Plain = Policy.forwardLogits(
+        *Producer, *Consumer, valuesOf(Policy.parameters()));
+    if (Mode == ActionSpaceMode::Flat) {
+      ExpectSame(Plain.Flat, Graph.FlatLogits);
+    } else {
+      ExpectSame(Plain.Transform, Graph.TransformLogits);
+      ExpectSame(Plain.Interchange, Graph.InterchangeLogits);
+      ASSERT_EQ(Plain.Tile.size(), Graph.TileLogits.size());
+      for (unsigned H = 0; H < Plain.Tile.size(); ++H)
+        ExpectSame(Plain.Tile[H], Graph.TileLogits[H]);
+    }
+    ExpectSame(Value.forwardValues(*Producer, *Consumer),
+               Value.forward(Batch));
   }
 }
 

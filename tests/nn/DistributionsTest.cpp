@@ -1,6 +1,12 @@
 //===- DistributionsTest.cpp - Tests for masked categoricals ----------------===//
+//
+// The row helpers rollouts act through (nn/Inference.h) and the
+// differentiable entropy the PPO update regularizes with.
+//
+//===----------------------------------------------------------------------===//
 
 #include "nn/Distributions.h"
+#include "nn/Inference.h"
 
 #include <gtest/gtest.h>
 
@@ -9,75 +15,88 @@
 using namespace mlirrl;
 using namespace mlirrl::nn;
 
+namespace {
+
+/// Log-softmax of one row under an optional mask.
+std::vector<double> logProbs(const std::vector<double> &Logits,
+                             const std::vector<double> &Mask = {}) {
+  std::vector<double> Out(Logits.size());
+  logSoftmaxRow(Logits.data(), Mask.empty() ? nullptr : Mask.data(),
+                static_cast<unsigned>(Logits.size()), Out.data());
+  return Out;
+}
+
+std::vector<double> probabilities(const std::vector<double> &LogProbs) {
+  std::vector<double> P;
+  for (double L : LogProbs)
+    P.push_back(std::exp(L));
+  return P;
+}
+
+double entropy(const std::vector<double> &Logits,
+               const std::vector<double> &Mask = {}) {
+  unsigned N = static_cast<unsigned>(Logits.size());
+  BatchedMaskedCategorical Dist(
+      Tensor::fromData(1, N, Logits),
+      Mask.empty() ? Tensor() : Tensor::fromData(1, N, Mask));
+  return Dist.entropyRows().item();
+}
+
+} // namespace
+
 TEST(CategoricalTest, ProbabilitiesSumToOne) {
-  Tensor Logits = Tensor::fromData(1, 4, {0.1, 2.0, -1.0, 0.5});
-  MaskedCategorical Dist(Logits);
   double Sum = 0.0;
-  for (double P : Dist.probabilities())
+  for (double P : probabilities(logProbs({0.1, 2.0, -1.0, 0.5})))
     Sum += P;
   EXPECT_NEAR(Sum, 1.0, 1e-9);
 }
 
 TEST(CategoricalTest, MaskZeroesProbabilities) {
-  Tensor Logits = Tensor::fromData(1, 4, {5.0, 1.0, 1.0, 1.0});
-  Tensor Mask = Tensor::fromData(1, 4, {0, 1, 1, 1});
-  MaskedCategorical Dist(Logits, Mask);
-  std::vector<double> P = Dist.probabilities();
+  std::vector<double> P =
+      probabilities(logProbs({5.0, 1.0, 1.0, 1.0}, {0, 1, 1, 1}));
   EXPECT_DOUBLE_EQ(P[0], 0.0);
   EXPECT_NEAR(P[1] + P[2] + P[3], 1.0, 1e-9);
-  EXPECT_TRUE(Dist.isMasked(0));
-  EXPECT_FALSE(Dist.isMasked(1));
+  EXPECT_GT(P[1], 0.0);
 }
 
 TEST(CategoricalTest, SamplingNeverPicksMasked) {
-  Tensor Logits = Tensor::fromData(1, 3, {10.0, 0.0, 0.0});
-  Tensor Mask = Tensor::fromData(1, 3, {0, 1, 1});
-  MaskedCategorical Dist(Logits, Mask);
+  std::vector<double> LogP = logProbs({10.0, 0.0, 0.0}, {0, 1, 1});
   Rng R(5);
   for (int I = 0; I < 200; ++I)
-    EXPECT_NE(Dist.sample(R), 0u);
+    EXPECT_NE(sampleRow(LogP.data(), 3, R), 0u);
 }
 
 TEST(CategoricalTest, SamplingFollowsProbabilities) {
-  Tensor Logits = Tensor::fromData(1, 2, {std::log(3.0), 0.0});
-  MaskedCategorical Dist(Logits);
+  std::vector<double> LogP = logProbs({std::log(3.0), 0.0});
   Rng R(11);
   int Counts[2] = {0, 0};
   for (int I = 0; I < 8000; ++I)
-    ++Counts[Dist.sample(R)];
+    ++Counts[sampleRow(LogP.data(), 2, R)];
   EXPECT_NEAR(static_cast<double>(Counts[0]) / Counts[1], 3.0, 0.35);
 }
 
 TEST(CategoricalTest, ArgmaxRespectsMask) {
-  Tensor Logits = Tensor::fromData(1, 3, {10.0, 1.0, 2.0});
-  Tensor Mask = Tensor::fromData(1, 3, {0, 1, 1});
-  MaskedCategorical Dist(Logits, Mask);
-  EXPECT_EQ(Dist.argmax(), 2u);
+  std::vector<double> LogP = logProbs({10.0, 1.0, 2.0}, {0, 1, 1});
+  EXPECT_EQ(argmaxRow(LogP.data(), 3), 2u);
 }
 
 TEST(CategoricalTest, LogProbMatchesProbabilities) {
   Tensor Logits = Tensor::fromData(1, 3, {1.0, 2.0, 3.0});
-  MaskedCategorical Dist(Logits);
-  std::vector<double> P = Dist.probabilities();
-  for (unsigned I = 0; I < 3; ++I)
-    EXPECT_NEAR(Dist.logProb(I).item(), std::log(P[I]), 1e-9);
+  BatchedMaskedCategorical Dist(Logits);
+  std::vector<double> P = probabilities(logProbs({1.0, 2.0, 3.0}));
+  for (int I = 0; I < 3; ++I)
+    EXPECT_NEAR(Dist.logProbRows({I}).item(), std::log(P[I]), 1e-9);
 }
 
 TEST(CategoricalTest, EntropyUniformIsLogN) {
-  Tensor Logits = Tensor::fromData(1, 8, std::vector<double>(8, 0.0));
-  MaskedCategorical Dist(Logits);
-  EXPECT_NEAR(Dist.entropy().item(), std::log(8.0), 1e-9);
+  EXPECT_NEAR(entropy(std::vector<double>(8, 0.0)), std::log(8.0), 1e-9);
 }
 
 TEST(CategoricalTest, EntropyMaskedUniformIsLogValidCount) {
-  Tensor Logits = Tensor::fromData(1, 8, std::vector<double>(8, 0.0));
-  Tensor Mask = Tensor::fromData(1, 8, {1, 1, 1, 0, 0, 0, 0, 1});
-  MaskedCategorical Dist(Logits, Mask);
-  EXPECT_NEAR(Dist.entropy().item(), std::log(4.0), 1e-9);
+  EXPECT_NEAR(entropy(std::vector<double>(8, 0.0), {1, 1, 1, 0, 0, 0, 0, 1}),
+              std::log(4.0), 1e-9);
 }
 
 TEST(CategoricalTest, PeakyDistributionLowEntropy) {
-  Tensor Logits = Tensor::fromData(1, 4, {20.0, 0.0, 0.0, 0.0});
-  MaskedCategorical Dist(Logits);
-  EXPECT_LT(Dist.entropy().item(), 0.01);
+  EXPECT_LT(entropy({20.0, 0.0, 0.0, 0.0}), 0.01);
 }

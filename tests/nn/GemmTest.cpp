@@ -293,42 +293,56 @@ TEST(GemmTest, DoubleEdgeShapesMatchNaive) {
   }
 }
 
+namespace {
+
+/// The dispatched (SIMD) kernels against the scalar fallback at 0 ULP,
+/// for all three layouts: NN, then NT (B stored NxK) and TN (A stored
+/// KxM) on the same buffers.
+template <typename T> void expectDispatchedBitwiseEqual(unsigned Seed) {
+  KernelScope Restore;
+  Rng R(Seed);
+  for (const Shape &S : EdgeShapes) {
+    std::vector<T> A(S.M * S.K), B(S.K * S.N);
+    for (T &X : A)
+      X = static_cast<T>(R.nextDouble(-1.0, 1.0));
+    for (T &X : B)
+      X = static_cast<T>(R.nextDouble(-1.0, 1.0));
+    auto RunAll = [&](GemmKernel Kind, std::vector<T> &Nn, std::vector<T> &Nt,
+                      std::vector<T> &Tn) {
+      setGemmKernel(Kind);
+      gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Nn.data(), S.N);
+      gemmAccNT(S.M, S.N, S.K, A.data(), S.K, B.data(), S.K, Nt.data(), S.N);
+      gemmAccTN(S.M, S.N, S.K, A.data(), S.M, B.data(), S.N, Tn.data(), S.N);
+    };
+    // Pre-filled C checks that both kernels share the accumulate
+    // contract, not just the product.
+    const std::vector<T> Init(S.M * S.N, static_cast<T>(0.125));
+    std::vector<T> NnS = Init, NtS = Init, TnS = Init;
+    std::vector<T> NnV = Init, NtV = Init, TnV = Init;
+    RunAll(GemmKernel::Scalar, NnS, NtS, TnS);
+    RunAll(GemmKernel::Simd, NnV, NtV, TnV);
+    const size_t Bytes = Init.size() * sizeof(T);
+    EXPECT_EQ(0, std::memcmp(NnS.data(), NnV.data(), Bytes))
+        << "NN M=" << S.M << " K=" << S.K << " N=" << S.N;
+    EXPECT_EQ(0, std::memcmp(NtS.data(), NtV.data(), Bytes))
+        << "NT M=" << S.M << " K=" << S.K << " N=" << S.N;
+    EXPECT_EQ(0, std::memcmp(TnS.data(), TnV.data(), Bytes))
+        << "TN M=" << S.M << " K=" << S.K << " N=" << S.N;
+  }
+}
+
+} // namespace
+
 TEST(GemmTest, DispatchedNNBitwiseEqualsScalarDouble) {
   if (!gemmSimdAvailable())
     GTEST_SKIP() << "no SIMD kernel in this build";
-  KernelScope Restore;
-  Rng R(56);
-  for (const Shape &S : EdgeShapes) {
-    std::vector<double> A = randomData(R, S.M * S.K);
-    std::vector<double> B = randomData(R, S.K * S.N);
-    // Pre-filled C checks that both kernels share the accumulate
-    // contract, not just the product.
-    std::vector<double> Cs(S.M * S.N, 0.125), Cv(S.M * S.N, 0.125);
-    setGemmKernel(GemmKernel::Scalar);
-    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Cs.data(), S.N);
-    setGemmKernel(GemmKernel::Simd);
-    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Cv.data(), S.N);
-    EXPECT_EQ(0, std::memcmp(Cs.data(), Cv.data(), Cs.size() * sizeof(double)))
-        << "M=" << S.M << " K=" << S.K << " N=" << S.N;
-  }
+  expectDispatchedBitwiseEqual<double>(56);
 }
 
 TEST(GemmTest, DispatchedNNBitwiseEqualsScalarFloat) {
   if (!gemmSimdAvailable())
     GTEST_SKIP() << "no SIMD kernel in this build";
-  KernelScope Restore;
-  Rng R(57);
-  for (const Shape &S : EdgeShapes) {
-    std::vector<float> A = randomDataF(R, S.M * S.K);
-    std::vector<float> B = randomDataF(R, S.K * S.N);
-    std::vector<float> Cs(S.M * S.N, 0.125f), Cv(S.M * S.N, 0.125f);
-    setGemmKernel(GemmKernel::Scalar);
-    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Cs.data(), S.N);
-    setGemmKernel(GemmKernel::Simd);
-    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Cv.data(), S.N);
-    EXPECT_EQ(0, std::memcmp(Cs.data(), Cv.data(), Cs.size() * sizeof(float)))
-        << "M=" << S.M << " K=" << S.K << " N=" << S.N;
-  }
+  expectDispatchedBitwiseEqual<float>(57);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,7 +1,8 @@
 //===- GradCheckTest.cpp - Numerical gradient verification ------------------===//
 //
 // Central-difference gradient checks over every differentiable op and the
-// composite layers (Linear, MLP, LSTM cell, masked categorical heads).
+// composite layers (Linear, MLP, sparse-input LSTM cell, masked
+// categorical heads).
 //
 //===----------------------------------------------------------------------===//
 
@@ -117,10 +118,10 @@ TEST(GradCheckTest, MaskedLogSoftmax) {
   Tensor Logits = randomParam(1, 6);
   Tensor Mask = Tensor::fromData(1, 6, {1, 0, 1, 1, 0, 1});
   checkGradient(Logits, [&] {
-    return pick(logSoftmaxRows(Logits, Mask), 0, 2);
+    return pickPerRow(logSoftmaxRows(Logits, Mask), {2});
   });
   // Masked entries receive zero gradient.
-  Tensor Loss = pick(logSoftmaxRows(Logits, Mask), 0, 2);
+  Tensor Loss = pickPerRow(logSoftmaxRows(Logits, Mask), {2});
   Logits.zeroGrad();
   Loss.backward();
   EXPECT_DOUBLE_EQ(Logits.grad()[1], 0.0);
@@ -129,22 +130,13 @@ TEST(GradCheckTest, MaskedLogSoftmax) {
 
 TEST(GradCheckTest, Entropy) {
   Tensor Logits = randomParam(1, 5);
-  checkGradient(Logits, [&] { return entropyOfLogits(Logits); });
+  checkGradient(Logits, [&] { return entropyRowsOfLogits(Logits); });
 }
 
 TEST(GradCheckTest, MaskedEntropy) {
   Tensor Logits = randomParam(1, 5);
   Tensor Mask = Tensor::fromData(1, 5, {1, 1, 0, 1, 0});
-  checkGradient(Logits, [&] { return entropyOfLogits(Logits, Mask); });
-}
-
-TEST(GradCheckTest, ConcatCols) {
-  Tensor A = randomParam(1, 3);
-  Tensor B = randomParam(1, 2);
-  checkGradient(A, [&] { return sumAll(hadamard(concatCols(A, B),
-                                                concatCols(A, B))); });
-  checkGradient(B, [&] { return sumAll(hadamard(concatCols(A, B),
-                                                concatCols(A, B))); });
+  checkGradient(Logits, [&] { return entropyRowsOfLogits(Logits, Mask); });
 }
 
 TEST(GradCheckTest, MeanOf) {
@@ -178,20 +170,27 @@ TEST(GradCheckTest, MlpBackbone) {
 
 TEST(GradCheckTest, LstmCellStep) {
   Rng R(9);
-  LstmCell Cell(3, 4, R);
-  Tensor X1 = randomParam(1, 3);
-  Tensor X2 = randomParam(1, 3);
-  auto Loss = [&] { return sumAll(Cell.runSequence({X1, X2})); };
-  // Inputs and a weight tensor.
-  checkGradient(X1, Loss, 1e-5, 1e-4);
-  checkGradient(X2, Loss, 1e-5, 1e-4);
-  checkGradient(Cell.parameters()[0], Loss, 1e-5, 1e-4);
+  LstmCell Cell(5, 4, R);
+  // Two steps over a batch of two sparse feature rows: the second step
+  // exercises the hidden-state product and the recurrent gradients.
+  auto SparseInput = [](std::vector<double> A, std::vector<double> B) {
+    return std::make_shared<const SparseRows>(SparseRows::fromRows({&A, &B}));
+  };
+  std::vector<std::shared_ptr<const SparseRows>> Sequence = {
+      SparseInput({0.7, 0.0, -0.4, 0.0, 0.9}, {0.0, 0.2, 0.0, 0.0, -0.6}),
+      SparseInput({0.0, -0.8, 0.5, 0.3, 0.0}, {0.4, 0.0, 0.0, -0.9, 0.1})};
+  auto Loss = [&] { return sumAll(Cell.runSequenceSparse(Sequence)); };
+  // Every gate's weight and bias.
+  std::vector<Tensor> Params = Cell.parameters();
+  ASSERT_EQ(Params.size(), 8u);
+  for (const Tensor &P : Params)
+    checkGradient(P, Loss, 1e-5, 1e-4);
 }
 
 TEST(GradCheckTest, CategoricalLogProbGradient) {
   Tensor Logits = randomParam(1, 4);
   checkGradient(Logits, [&] {
-    MaskedCategorical Dist(Logits);
-    return Dist.logProb(1);
+    BatchedMaskedCategorical Dist(Logits);
+    return Dist.logProbRows({1});
   });
 }

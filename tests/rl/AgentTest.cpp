@@ -2,6 +2,7 @@
 
 #include "rl/Agent.h"
 
+#include "TestUtil.h"
 #include "datasets/DnnOps.h"
 #include "env/Featurizer.h"
 #include "ir/Builder.h"
@@ -54,14 +55,58 @@ TEST_F(AgentFixture, SampledTileIndicesInRange) {
 }
 
 TEST_F(AgentFixture, EvaluateReproducesSampledLogProb) {
-  ActorCritic Agent(Config, FeatureSize, Net, 5);
-  auto Env = makeEnv(makeMatmulModule(64, 64, 64));
-  Rng R(6);
-  Observation Obs = Env->observe();
-  for (int I = 0; I < 20; ++I) {
-    ActorCritic::Sampled S = Agent.act(Obs, R);
-    ActorCritic::Evaluation E = Agent.evaluate(Obs, S.Action);
-    EXPECT_NEAR(E.LogProb.item(), S.LogProb, 1e-9);
+  // Sampling runs the graph-free forward, the PPO update re-evaluates
+  // through autograd: before any update, the stored log-prob and value
+  // must be the re-evaluation's bitwise, at every batch width.
+  std::vector<Module> Modules = {makeMatmulModule(64, 64, 64),
+                                 makeReluModule({256, 64}),
+                                 makeMaxpoolModule(1, 16, 32, 32, 2, 2),
+                                 makeConv2dModule(1, 8, 16, 16, 8, 3, 3, 1),
+                                 makeAddModule({128, 128})};
+  for (ActionSpaceMode Mode :
+       {ActionSpaceMode::MultiDiscrete, ActionSpaceMode::Flat}) {
+    EnvConfig ModeConfig = Config;
+    ModeConfig.ActionSpace = Mode;
+    ActorCritic Agent(ModeConfig, Featurizer(ModeConfig).featureSize(), Net,
+                      5);
+    for (unsigned Width : {1u, 8u}) {
+      // Sixteen episodes, Width of them in lockstep at a time.
+      std::vector<std::unique_ptr<Environment>> Envs;
+      std::vector<Rng> Rngs;
+      for (unsigned I = 0; I < 16; ++I) {
+        Envs.push_back(std::make_unique<Environment>(
+            ModeConfig, Run, Modules[I % Modules.size()]));
+        Rngs.emplace_back(6 + I);
+      }
+      unsigned Rows = 0;
+      for (unsigned Begin = 0; Begin < 16; Begin += Width) {
+        for (;;) {
+          std::vector<const Observation *> Obs;
+          std::vector<Rng *> Streams;
+          std::vector<Environment *> Live;
+          for (unsigned I = Begin; I < Begin + Width; ++I)
+            if (!Envs[I]->isDone()) {
+              Obs.push_back(&Envs[I]->observe());
+              Streams.push_back(&Rngs[I]);
+              Live.push_back(Envs[I].get());
+            }
+          if (Obs.empty())
+            break;
+          std::vector<ActorCritic::Sampled> S = Agent.actBatch(Obs, Streams);
+          std::vector<const AgentAction *> Actions;
+          for (const ActorCritic::Sampled &One : S)
+            Actions.push_back(&One.Action);
+          ActorCritic::BatchEvaluation E = Agent.evaluateBatch(Obs, Actions);
+          for (unsigned R = 0; R < S.size(); ++R) {
+            EXPECT_SAME_BITS(E.LogProb.at(R, 0), S[R].LogProb);
+            EXPECT_SAME_BITS(E.Value.at(R, 0), S[R].Value);
+            Live[R]->step(S[R].Action);
+          }
+          Rows += static_cast<unsigned>(S.size());
+        }
+      }
+      EXPECT_GT(Rows, 16u);
+    }
   }
 }
 

@@ -67,33 +67,36 @@ TEST_F(InferenceF32Fixture, DefaultInferenceDtypeIsF64) {
 TEST_F(InferenceF32Fixture, PackedLogitsMatchDoubleForwardWithinRelError) {
   Rng InitRng(17);
   PolicyNet Policy(Config, FeatureSize, Net, InitRng);
-  PolicyNetF32 Packed(Policy);
+  nn::PackedF32 Packed(Policy.parameters());
 
   Environment Env(Config, Run, makeMatmulModule(64, 64, 64));
   Observation Obs = Env.observe();
   std::vector<const Observation *> Batch = {&Obs};
 
   PolicyNet::Heads H64 = Policy.forward(Batch);
-  PolicyNetF32::Heads H32 = Packed.forward(Batch);
+  PolicyNet::Logits<float> H32 = Policy.forwardLogits(
+      *PolicyNet::compressRows(Batch, &Observation::Producer),
+      *PolicyNet::compressRows(Batch, &Observation::Consumer),
+      Packed.values());
 
-  ASSERT_EQ(H32.TransformLogits.Rows, 1u);
-  ASSERT_EQ(H32.TransformLogits.Cols, H64.TransformLogits.cols());
-  for (unsigned J = 0; J < H32.TransformLogits.Cols; ++J)
-    expectNearRel(H32.TransformLogits.at(0, J), H64.TransformLogits.at(0, J),
+  ASSERT_EQ(H32.Transform.Rows, 1u);
+  ASSERT_EQ(H32.Transform.Cols, H64.TransformLogits.cols());
+  for (unsigned J = 0; J < H32.Transform.Cols; ++J)
+    expectNearRel(H32.Transform.at(0, J), H64.TransformLogits.at(0, J),
                   kLogitTol);
 
-  ASSERT_EQ(H32.TileLogits.size(), H64.TileLogits.size());
-  for (unsigned Head = 0; Head < H32.TileLogits.size(); ++Head) {
-    ASSERT_EQ(H32.TileLogits[Head].Cols, H64.TileLogits[Head].cols());
-    for (unsigned J = 0; J < H32.TileLogits[Head].Cols; ++J)
-      expectNearRel(H32.TileLogits[Head].at(0, J),
-                    H64.TileLogits[Head].at(0, J), kLogitTol);
+  ASSERT_EQ(H32.Tile.size(), H64.TileLogits.size());
+  for (unsigned Head = 0; Head < H32.Tile.size(); ++Head) {
+    ASSERT_EQ(H32.Tile[Head].Cols, H64.TileLogits[Head].cols());
+    for (unsigned J = 0; J < H32.Tile[Head].Cols; ++J)
+      expectNearRel(H32.Tile[Head].at(0, J), H64.TileLogits[Head].at(0, J),
+                    kLogitTol);
   }
 
-  ASSERT_EQ(H32.InterchangeLogits.Cols, H64.InterchangeLogits.cols());
-  for (unsigned J = 0; J < H32.InterchangeLogits.Cols; ++J)
-    expectNearRel(H32.InterchangeLogits.at(0, J),
-                  H64.InterchangeLogits.at(0, J), kLogitTol);
+  ASSERT_EQ(H32.Interchange.Cols, H64.InterchangeLogits.cols());
+  for (unsigned J = 0; J < H32.Interchange.Cols; ++J)
+    expectNearRel(H32.Interchange.at(0, J), H64.InterchangeLogits.at(0, J),
+                  kLogitTol);
 }
 
 TEST_F(InferenceF32Fixture, GreedyEpisodeMatchesF64StepByStep) {

@@ -54,7 +54,6 @@ ServeOptions matchingServeOptions() {
   ServeOptions O;
   O.Env = Train.Env;
   O.Net = Train.Net;
-  O.Ppo = Train.Ppo;
   O.Seed = 21;
   O.BatchWidth = 2;
   O.Inference = InferenceDtype::F32;
