@@ -1,22 +1,15 @@
-//===- bench_gemm.cpp - GEMM kernel throughput across dtypes ----------------===//
+//===- bench_gemm.cpp - GEMM kernel throughput per layout -----------------===//
 //
-// GFLOP/s of the raw gemmAcc kernels (no autograd, no tensors) across
-// element type {double, float} x kernel variant {scalar fallback,
-// explicit SIMD} x packing {streaming, packed macro-kernel} x square
-// sizes. This is the dtype speedup ledger behind the f32 inference
-// path: the headline comparisons are NN/float/simd at 512 against
-// NN/double/scalar at 512 (the pre-SIMD kernel), and each packed row
-// against its unpacked twin (same name + _packed), committed to PERF.md
-// and tracked across PRs through scripts/bench_json.sh --gemm
-// (BENCH_gemm.json).
+// GFLOP/s and time per call of the raw gemmAcc entry points (no
+// autograd, no tensors), each running the one path nn/Gemm.cpp picks for
+// its layout and shape. Arguments are M/N/K.
 //
-// The unpacked NT/TN rows force Scalar dispatch and packing Off -- the
-// historical streaming kernels, kept under stable names for trajectory
-// comparison. The packed rows run packing On under Auto dispatch: NT is
-// where packing rewrites the story (the streaming kernel's k-reduction
-// is a latency-bound scalar chain; the transpose-packed SIMD kernel
-// runs independent lane chains), so its packed/unpacked ratio is the
-// tentpole number.
+// The first rows are shapes PPO training runs: 32x48x48 for all three
+// layouts (the 48-wide laptop nets), NN and NT at 32x512x512 and TN at
+// 512x512x32 (the paper's 512-wide nets). NN keeps its square sizes for
+// both dtypes, which sit on both sides of the autoPackNN shape test
+// (f64 packs from 256^3, f32 from 512^3).
+// Tracked through scripts/bench_json.sh --gemm (BENCH_gemm.json).
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,140 +25,86 @@ using namespace mlirrl::nn;
 
 namespace {
 
-template <typename T> std::vector<T> randomSquare(Rng &R, unsigned N) {
-  std::vector<T> V(static_cast<size_t>(N) * N);
+template <typename T> std::vector<T> randomData(Rng &R, size_t N) {
+  std::vector<T> V(N);
   for (T &X : V)
     X = static_cast<T>(R.nextDouble(-1.0, 1.0));
   return V;
 }
 
-/// Forces one kernel + packing dispatch pair for the benchmark's scope
-/// and restores Auto on exit (the process-global defaults).
-struct DispatchScope {
-  DispatchScope(GemmKernel K, GemmPacking P) {
-    setGemmKernel(K);
-    setGemmPacking(P);
-  }
-  ~DispatchScope() {
-    setGemmKernel(GemmKernel::Auto);
-    setGemmPacking(GemmPacking::Auto);
-  }
-};
-
-template <typename T>
-void BM_GemmNN(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  if (Kind == GemmKernel::Simd && !gemmSimdAvailable()) {
-    State.SkipWithError("no SIMD kernel in this build");
-    return;
-  }
-  DispatchScope Scope(Kind, Pack);
-  unsigned N = static_cast<unsigned>(State.range(0));
+/// Times Gemm(M, N, K, A, B, C) over dense row-major operands with M/N/K
+/// from the benchmark arguments; A holds M*K elements, B K*N, C M*N.
+template <typename T, typename Entry>
+void runGemm(benchmark::State &State, Entry Gemm) {
+  const unsigned M = static_cast<unsigned>(State.range(0));
+  const unsigned N = static_cast<unsigned>(State.range(1));
+  const unsigned K = static_cast<unsigned>(State.range(2));
   Rng R(5);
-  std::vector<T> A = randomSquare<T>(R, N);
-  std::vector<T> B = randomSquare<T>(R, N);
-  std::vector<T> C(static_cast<size_t>(N) * N, T(0));
+  std::vector<T> A = randomData<T>(R, static_cast<size_t>(M) * K);
+  std::vector<T> B = randomData<T>(R, static_cast<size_t>(K) * N);
+  std::vector<T> C(static_cast<size_t>(M) * N, T(0));
   for (auto _ : State) {
-    gemmAccNN(N, N, N, A.data(), N, B.data(), N, C.data(), N);
+    Gemm(M, N, K, A.data(), B.data(), C.data());
     benchmark::DoNotOptimize(C.data());
     benchmark::ClobberMemory();
   }
   State.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * N * N * N * static_cast<double>(State.iterations()) * 1e-9,
+      2.0 * M * N * K * static_cast<double>(State.iterations()) * 1e-9,
       benchmark::Counter::kIsRate);
 }
 
-template <typename T>
-void BM_GemmNT(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  DispatchScope Scope(Kind, Pack);
-  unsigned N = static_cast<unsigned>(State.range(0));
-  Rng R(6);
-  std::vector<T> A = randomSquare<T>(R, N);
-  std::vector<T> B = randomSquare<T>(R, N);
-  std::vector<T> C(static_cast<size_t>(N) * N, T(0));
-  for (auto _ : State) {
-    gemmAccNT(N, N, N, A.data(), N, B.data(), N, C.data(), N);
-    benchmark::DoNotOptimize(C.data());
-    benchmark::ClobberMemory();
-  }
-  State.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * N * N * N * static_cast<double>(State.iterations()) * 1e-9,
-      benchmark::Counter::kIsRate);
+template <typename T> void BM_GemmNN(benchmark::State &State) {
+  runGemm<T>(State, [](unsigned M, unsigned N, unsigned K, const T *A,
+                       const T *B, T *C) {
+    gemmAccNN(M, N, K, A, K, B, N, C, N);
+  });
 }
 
-template <typename T>
-void BM_GemmTN(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  DispatchScope Scope(Kind, Pack);
-  unsigned N = static_cast<unsigned>(State.range(0));
-  Rng R(7);
-  std::vector<T> A = randomSquare<T>(R, N);
-  std::vector<T> B = randomSquare<T>(R, N);
-  std::vector<T> C(static_cast<size_t>(N) * N, T(0));
-  for (auto _ : State) {
-    gemmAccTN(N, N, N, A.data(), N, B.data(), N, C.data(), N);
-    benchmark::DoNotOptimize(C.data());
-    benchmark::ClobberMemory();
-  }
-  State.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * N * N * N * static_cast<double>(State.iterations()) * 1e-9,
-      benchmark::Counter::kIsRate);
+// B is stored NxK.
+void BM_GemmNT(benchmark::State &State) {
+  runGemm<double>(State, [](unsigned M, unsigned N, unsigned K,
+                            const double *A, const double *B, double *C) {
+    gemmAccNT(M, N, K, A, K, B, K, C, N);
+  });
 }
 
-void BM_GemmNNF64(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  BM_GemmNN<double>(State, Kind, Pack);
+// A is stored KxM.
+void BM_GemmTN(benchmark::State &State) {
+  runGemm<double>(State, [](unsigned M, unsigned N, unsigned K,
+                            const double *A, const double *B, double *C) {
+    gemmAccTN(M, N, K, A, M, B, N, C, N);
+  });
 }
-void BM_GemmNNF32(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  BM_GemmNN<float>(State, Kind, Pack);
-}
-void BM_GemmNTF64(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  BM_GemmNT<double>(State, Kind, Pack);
-}
-void BM_GemmNTF32(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  BM_GemmNT<float>(State, Kind, Pack);
-}
-void BM_GemmTNF64(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  BM_GemmTN<double>(State, Kind, Pack);
-}
-void BM_GemmTNF32(benchmark::State &State, GemmKernel Kind, GemmPacking Pack) {
-  BM_GemmTN<float>(State, Kind, Pack);
-}
+
+void BM_GemmNNF64(benchmark::State &State) { BM_GemmNN<double>(State); }
+void BM_GemmNNF32(benchmark::State &State) { BM_GemmNN<float>(State); }
 
 } // namespace
 
-#define GEMM_SIZES Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)
-#define GEMM_BWD_SIZES Arg(256)->Arg(512)->Arg(1024)
+#define GEMM_SQUARE_SIZES                                                      \
+  Args({64, 64, 64})                                                           \
+      ->Args({128, 128, 128})                                                  \
+      ->Args({256, 256, 256})                                                  \
+      ->Args({512, 512, 512})                                                  \
+      ->Args({1024, 1024, 1024})
 
-BENCHMARK_CAPTURE(BM_GemmNNF64, f64_scalar, GemmKernel::Scalar,
-                  GemmPacking::Off)
-    ->GEMM_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmNNF64, f64_simd, GemmKernel::Simd, GemmPacking::Off)
-    ->GEMM_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmNNF64, f64_simd_packed, GemmKernel::Simd,
-                  GemmPacking::On)
-    ->GEMM_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmNNF32, f32_scalar, GemmKernel::Scalar,
-                  GemmPacking::Off)
-    ->GEMM_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmNNF32, f32_simd, GemmKernel::Simd, GemmPacking::Off)
-    ->GEMM_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmNNF32, f32_simd_packed, GemmKernel::Simd,
-                  GemmPacking::On)
-    ->GEMM_SIZES->Unit(benchmark::kMicrosecond);
-
-BENCHMARK_CAPTURE(BM_GemmNTF64, f64, GemmKernel::Scalar, GemmPacking::Off)
-    ->GEMM_BWD_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmNTF64, f64_packed, GemmKernel::Auto, GemmPacking::On)
-    ->GEMM_BWD_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmNTF32, f32, GemmKernel::Scalar, GemmPacking::Off)
-    ->GEMM_BWD_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmNTF32, f32_packed, GemmKernel::Auto, GemmPacking::On)
-    ->GEMM_BWD_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmTNF64, f64, GemmKernel::Scalar, GemmPacking::Off)
-    ->GEMM_BWD_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmTNF64, f64_packed, GemmKernel::Auto, GemmPacking::On)
-    ->GEMM_BWD_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmTNF32, f32, GemmKernel::Scalar, GemmPacking::Off)
-    ->GEMM_BWD_SIZES->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_GemmTNF32, f32_packed, GemmKernel::Auto, GemmPacking::On)
-    ->GEMM_BWD_SIZES->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmNNF64)
+    ->ArgNames({"M", "N", "K"})
+    ->Args({32, 48, 48})
+    ->Args({32, 512, 512})
+    ->GEMM_SQUARE_SIZES->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmNNF32)
+    ->ArgNames({"M", "N", "K"})
+    ->GEMM_SQUARE_SIZES->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmNT)
+    ->ArgNames({"M", "N", "K"})
+    ->Args({32, 48, 48})
+    ->Args({32, 512, 512})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmTN)
+    ->ArgNames({"M", "N", "K"})
+    ->Args({32, 48, 48})
+    ->Args({512, 512, 32})
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -12,23 +12,17 @@
 //   * incremental stepping must actually run: nests materialized per
 //     episode must stay far below ops x steps (the from-scratch count);
 //   * the final incremental price must equal the from-scratch oracle
-//     bitwise;
-//   * the packed-GEMM scratch arena ("gemm.pack_arena") must reach its
-//     steady state: repeated packed calls on one thread reuse the block
-//     (hits) instead of re-allocating (misses) -- the no-per-call-
-//     malloc contract the packed macro-kernel layer makes.
+//     bitwise.
 //
 //===----------------------------------------------------------------------===//
 
 #include "datasets/Sequences.h"
 #include "env/Environment.h"
-#include "nn/Gemm.h"
 #include "perf/Evaluator.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 
 #include <cstdio>
-#include <vector>
 
 using namespace mlirrl;
 
@@ -125,31 +119,6 @@ int main() {
   double FromScratch = Oracle.timeModule(M, LastSchedule);
   Ok &= check(Incremental == FromScratch,
               "incremental price == from-scratch price (bitwise)");
-
-  // Packed-GEMM scratch steady state: force the packed path and issue
-  // several calls on this thread. The first may grow the arena (one
-  // miss); every later call must reuse it (hits only).
-  {
-    CacheStatsRegistry::CategoryStats Before =
-        CacheStatsRegistry::instance().categoryStats("gemm.pack_arena");
-    nn::setGemmPacking(nn::GemmPacking::On);
-    const unsigned N = 96;
-    std::vector<double> A(N * N, 0.5), B(N * N, 0.25), C(N * N, 0.0);
-    const unsigned Calls = 4;
-    for (unsigned I = 0; I < Calls; ++I)
-      nn::gemmAccNN(N, N, N, A.data(), N, B.data(), N, C.data(), N);
-    nn::setGemmPacking(nn::GemmPacking::Auto);
-    CacheStatsRegistry::CategoryStats After =
-        CacheStatsRegistry::instance().categoryStats("gemm.pack_arena");
-    std::printf("  pack arena: +%llu reuses, +%llu allocations, %zu bytes\n",
-                static_cast<unsigned long long>(After.Hits - Before.Hits),
-                static_cast<unsigned long long>(After.Misses - Before.Misses),
-                nn::gemmPackScratchCapacity());
-    Ok &= check(After.Misses - Before.Misses <= 1,
-                "pack arena allocates at most once on this thread");
-    Ok &= check(After.Hits - Before.Hits >= Calls - 1,
-                "packed calls after the first reuse the arena");
-  }
 
   if (!Ok) {
     std::printf("perf smoke FAILED\n");

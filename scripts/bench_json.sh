@@ -14,13 +14,12 @@
 #               (shard counts x thread counts; default output
 #               BENCH_memo.json). The contended_acquisitions counters
 #               are meaningful even on 1 core.
-#   --gemm      the raw GEMM kernel GFLOP/s matrix from bench_gemm
-#               (dtype x kernel variant x packing x size; default output
-#               BENCH_gemm.json). Single-core numbers; the artifact
-#               records the compiler and -march the kernels were built
-#               with, since the SIMD micro-kernel's throughput is a
-#               property of both. Packed rows carry a _packed name
-#               suffix next to their streaming twin.
+#   --gemm      raw GEMM GFLOP/s from bench_gemm: each layout's one
+#               path at the training shapes, plus NN square sizes for
+#               both dtypes (default output BENCH_gemm.json).
+#               Single-core numbers; the artifact records the compiler
+#               and -march the kernels were built with, since the SIMD
+#               micro-kernels' throughput is a property of both.
 #   --serve     schedule-server requests/s and p50/p99 request latency
 #               from bench_serve (default output BENCH_serve.json).
 #               The client-thread sweep and the server-worker sweep are

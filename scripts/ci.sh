@@ -91,10 +91,7 @@ fi
 # is > 0 and that incremental stepping actually ran (nests materialized
 # << ops x steps), so the ScheduleState path cannot silently regress to
 # the from-scratch fallback. Also cross-checks the incremental price
-# against the from-scratch oracle bitwise, and asserts the packed-GEMM
-# scratch arena reaches steady state (repeated packed calls reuse the
-# "gemm.pack_arena" block -- at most one allocation, then hits only --
-# so the packed path cannot silently regress to per-call malloc).
+# against the from-scratch oracle bitwise.
 ./build/example_perf_smoke
 
 # --- Fuzz smoke -----------------------------------------------------------
@@ -141,8 +138,7 @@ if [[ "$sanitize" == address ]]; then
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-san/example_fuzz_smoke --inputs 2000 --episodes 50 \
     --corpus "$fuzz_corpus"
-  # Pack-arena steady state under the sanitized build as well (the
-  # reuse counters are asserted inside).
+  # The incremental fast-path checks under the sanitized build as well.
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-san/example_perf_smoke
   # The serving path under the sanitizers (reduced request count): the
@@ -157,8 +153,10 @@ fi
 # A third tree under ThreadSanitizer, restricted to the
 # concurrency-heavy subset: the striped-memo and cost-cache tests, the
 # full serving suite (including the reload and three-way race hammers),
-# the determinism matrix (thread-count sweeps), and the dedicated TSan
-# stress test. halt_on_error=1 turns the first report into a failure;
+# the determinism matrix (thread-count sweeps), GemmTest (row-partitioned
+# GEMMs over pools of 2 and 4, with thread_local pack arenas feeding the
+# shared "gemm.pack_arena" counters), and the dedicated TSan stress
+# test. halt_on_error=1 turns the first report into a failure;
 # there is no suppression file -- the repo's benign sharing is already
 # expressed as relaxed atomics, so every report is treated as a real
 # bug. TSan costs roughly an order of magnitude at runtime, which is
@@ -169,7 +167,7 @@ if [[ "$sanitize" == thread ]]; then
   cmake -B build-tsan -S . -DMLIRRL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$(nproc)"
-  tsan_subset='support/TsanStressTest|support/StatsTest|perf/StripedLruTest|perf/CostCacheTest|serve/ServeTest|serve/ServeReloadTest|serve/ServeRaceTest|rl/DeterminismMatrixTest|rl/ParallelDeterminismTest'
+  tsan_subset='support/TsanStressTest|support/StatsTest|perf/StripedLruTest|perf/CostCacheTest|serve/ServeTest|serve/ServeReloadTest|serve/ServeRaceTest|rl/DeterminismMatrixTest|rl/ParallelDeterminismTest|nn/GemmTest'
   (cd build-tsan &&
      TSAN_OPTIONS=halt_on_error=1 \
      ctest --output-on-failure --timeout 900 -j "$(nproc)" \

@@ -6,42 +6,25 @@
 /// instantiated for double (training; bitwise-stable) and float (the
 /// float instantiation of the graph-free forward, nn/Inference.h).
 ///
-/// Two inner kernels exist for the NN (C += A.B) product:
+/// The NN (C += A.B) and packed NT (C += A.B^T) products run explicitly
+/// SIMD micro-kernels built on GNU vector extensions (32-byte generic
+/// vectors, lowered by the compiler to whatever the target has: AVX2,
+/// SSE2, NEON, or scalar code). They widen only the *j* axis, where
+/// lanes are independent accumulator chains, so every C element keeps
+/// the ascending-k sequence of the portable scalar micro-kernels below;
+/// those run the sub-vector j tails, and GemmTest's 0-ULP references
+/// are built from them. The TN (C += A^T.B) product is a streaming
+/// rank-1-update kernel whose inner loop is an elementwise update the
+/// autovectorizer already handles.
 ///
-///  - a portable scalar micro-kernel -- the reference semantics; the
-///    double instantiation is the pre-dtype-refactor kernel verbatim,
-///    which is what keeps the training path bitwise-identical across
-///    the refactor; and
-///  - an explicitly SIMD micro-kernel built on GNU vector extensions
-///    (32-byte generic vectors, lowered by the compiler to whatever the
-///    target has: AVX2, SSE2, NEON, or scalar code).
-///
-/// Both accumulate every C element over k in ascending order; the SIMD
-/// kernel only widens the *j* axis, where lanes are independent
-/// accumulator chains, so the two kernels are bitwise-identical on any
-/// input for both dtypes (GemmTest asserts exact equality at runtime --
-/// the guard against a miscompiled or misdispatched SIMD path). Which one runs is a runtime dispatch
-/// (nn::setGemmKernel); Auto resolves to SIMD where the extension
-/// exists.
-///
-/// The NT (A.B^T) and TN (A^T.B) kernels are k-reduction respectively
-/// rank-1-update shaped; they keep the scalar-ordered template only
-/// (they carry the backward pass, which stays f64, and their inner
-/// loops are already unit-stride for the autovectorizer).
-///
-/// On top of the streaming kernels sits the packed macro-kernel layer
-/// (GotoBLAS/BLIS structure): gemm*PackedSerial copy each KC x NC panel
-/// of B and MC x KC panel of A into dense 64-byte-aligned scratch once
-/// per cache block -- transposing during the copy for NT's B and TN's A
-/// so every k-reduction walks contiguous memory -- and then drive the
-/// register kernels over the packed panels. Packing is a pure layout
-/// transform: every C element still accumulates the exact ascending-k
-/// sequence the unpacked kernel produces (NN reuses microNN* outright;
-/// microNTPacked* keeps the per-KC-block temporary accumulator;
-/// microTNPacked* keeps the MR-grouped sums and the exact zero-skip
-/// tests), so packed and unpacked results are required to be
-/// bitwise-identical -- GemmTest memcmps them. Whether
-/// packing runs is a second runtime dispatch (nn::setGemmPacking).
+/// NN has two drivers. gemmNNSerial streams the caller's operands;
+/// gemmNNPackedSerial (GotoBLAS/BLIS structure) copies each KC x NC
+/// panel of B and MC x KC panel of A into dense 64-byte-aligned scratch
+/// once per cache block and runs the same micro-kernels over the packed
+/// panels. Packing is a pure layout transform, so the two are
+/// bitwise-identical -- GemmTest memcmps them -- and nn/Gemm.cpp picks
+/// one per call shape. NT has only the packed driver: it transposes B
+/// during the copy so the k-reduction walks contiguous memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,12 +33,6 @@
 
 #include <algorithm>
 #include <cstddef>
-
-#if defined(__GNUC__) || defined(__clang__)
-#define MLIRRL_GEMM_HAVE_SIMD 1
-#else
-#define MLIRRL_GEMM_HAVE_SIMD 0
-#endif
 
 namespace mlirrl {
 namespace nn {
@@ -71,7 +48,6 @@ constexpr unsigned KC = 256;
 constexpr unsigned NC = 512;
 constexpr unsigned MR = 4;
 
-#if MLIRRL_GEMM_HAVE_SIMD
 /// Generic SIMD vector of T: 32 bytes wide (4 doubles / 8 floats).
 /// 32 beats 64 measurably on AVX-512 hardware here (GCC's 64-byte
 /// lowering plus zmm frequency effects); on narrower ISAs the compiler
@@ -84,13 +60,12 @@ template <typename T> struct SimdTraits {
   static constexpr unsigned Lanes = Bytes / sizeof(T);
   typedef T Vec __attribute__((vector_size(Bytes), aligned(alignof(T))));
 };
-#endif
 
 /// Portable scalar micro-kernel for C += A.B: C rows [i0, i0+Rows) x
 /// [j0, j1) accumulate the K-panel [k0, k1). Rows <= MR; the j loop is
 /// the (auto-)vectorized axis and each B row loaded from the panel
-/// feeds Rows accumulator rows. This is the double kernel the repo
-/// trained on before the dtype refactor, verbatim.
+/// feeds Rows accumulator rows. It runs microNNSimd's sub-vector j
+/// tails.
 template <typename T>
 inline void microNNScalar(unsigned Rows, unsigned j0, unsigned j1, unsigned k0,
                           unsigned k1, const T *__restrict A, unsigned LdA,
@@ -130,8 +105,6 @@ inline void microNNScalar(unsigned Rows, unsigned j0, unsigned j1, unsigned k0,
     break;
   }
 }
-
-#if MLIRRL_GEMM_HAVE_SIMD
 
 /// Explicit-SIMD micro-kernel: identical accumulation semantics to
 /// microNNScalar (each C element's k chain is untouched; only the j
@@ -217,7 +190,7 @@ inline void microNNSimd(unsigned Rows, unsigned j0, unsigned j1, unsigned k0,
       *reinterpret_cast<Vec *>(C3 + J) = S3;
     }
     // Sub-vector j tail: run the scalar micro-kernel itself, not a
-    // hand-written scalar loop. Bitwise identity with Scalar dispatch
+    // hand-written scalar loop. Bitwise identity with the scalar kernel
     // must not hinge on the compiler contracting two different loops
     // into the same mul/fma mix, so the tail shares the scalar kernel's
     // machine code outright.
@@ -242,14 +215,10 @@ inline void microNNSimd(unsigned Rows, unsigned j0, unsigned j1, unsigned k0,
     microNNScalar<T>(Rows, jv, j1, k0, k1, A, LdA, B, LdB, C, LdC, i0);
 }
 
-#endif // MLIRRL_GEMM_HAVE_SIMD
-
-/// Blocked serial driver for C(MxN) += A(MxK) . B(KxN); \p Simd selects
-/// the micro-kernel (resolved once at the public entry point).
+/// Blocked streaming driver for C(MxN) += A(MxK) . B(KxN).
 template <typename T>
 void gemmNNSerial(unsigned M, unsigned N, unsigned K, const T *A, unsigned LdA,
-                  const T *B, unsigned LdB, T *C, unsigned LdC, bool Simd) {
-  (void)Simd;
+                  const T *B, unsigned LdB, T *C, unsigned LdC) {
   for (unsigned Jj = 0; Jj < N; Jj += NC) {
     unsigned Jend = std::min(N, Jj + NC);
     for (unsigned Kk = 0; Kk < K; Kk += KC) {
@@ -257,34 +226,23 @@ void gemmNNSerial(unsigned M, unsigned N, unsigned K, const T *A, unsigned LdA,
       for (unsigned Ii = 0; Ii < M; Ii += MC) {
         unsigned Iend = std::min(M, Ii + MC);
         unsigned I = Ii;
-#if MLIRRL_GEMM_HAVE_SIMD
-        if (Simd) {
-          for (; I + MR <= Iend; I += MR)
-            microNNSimd<T>(MR, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C, LdC, I);
-          if (I < Iend)
-            microNNSimd<T>(Iend - I, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C,
-                           LdC, I);
-          continue;
-        }
-#endif
         for (; I + MR <= Iend; I += MR)
-          microNNScalar<T>(MR, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C, LdC, I);
+          microNNSimd<T>(MR, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C, LdC, I);
         if (I < Iend)
-          microNNScalar<T>(Iend - I, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C,
-                           LdC, I);
+          microNNSimd<T>(Iend - I, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C, LdC,
+                         I);
       }
     }
   }
 }
 
 /// The NT per-element k-chain: a zero-started, ascending-k multiply-add
-/// chain over N elements, A unit-stride, B at stride BStride (1 for the
-/// streaming kernel's row pairs; the panel width for a transposed-packed
-/// column). noinline + no-tree-vectorize pin ONE scalar emission of the
-/// chain -- a straight (contracted, on FMA targets) multiply-add
-/// sequence -- that every scalar-path NT element shares. Without the
-/// pin, GCC autovectorizes this reduction in-order with a
-/// target-dependent mix of separately-rounded multiplies and fma
+/// chain over N elements, A unit-stride, B at stride BStride (the
+/// transpose-packed panel's row stride). noinline + no-tree-vectorize
+/// pin ONE scalar emission of the chain -- a straight (contracted, on
+/// FMA targets) multiply-add sequence -- that every scalar NT element
+/// shares. Without the pin, GCC autovectorizes this reduction in-order
+/// with a target-dependent mix of separately-rounded multiplies and fma
 /// remainders, which no lane-parallel kernel can reproduce bitwise;
 /// with it, the SIMD kernel's per-lane chain (one vector fma per k) is
 /// the exact same arithmetic. Same doctrine as microNNSimd's scalar
@@ -298,29 +256,6 @@ microNTDot(const T *__restrict A, const T *__restrict B, unsigned BStride,
   for (unsigned Kx = 0; Kx < N; ++Kx)
     Acc += A[Kx] * B[static_cast<size_t>(Kx) * BStride];
   return Acc;
-}
-
-/// C(MxN) += A(MxK) . B^T with B stored NxK: both operands are scanned
-/// along k, so the inner loop is a unit-stride dot product (the shared
-/// pinned chain above); block j so the scanned rows of B stay
-/// cache-resident across the i loop.
-template <typename T>
-void gemmNTSerial(unsigned M, unsigned N, unsigned K, const T *A, unsigned LdA,
-                  const T *B, unsigned LdB, T *C, unsigned LdC) {
-  for (unsigned Jj = 0; Jj < N; Jj += MC) {
-    unsigned Jend = std::min(N, Jj + MC);
-    for (unsigned Kk = 0; Kk < K; Kk += KC) {
-      unsigned Kend = std::min(K, Kk + KC);
-      for (unsigned I = 0; I < M; ++I) {
-        const T *__restrict Ai = A + static_cast<size_t>(I) * LdA;
-        T *__restrict Ci = C + static_cast<size_t>(I) * LdC;
-        for (unsigned J = Jj; J < Jend; ++J) {
-          const T *__restrict Bj = B + static_cast<size_t>(J) * LdB;
-          Ci[J] += microNTDot(Ai + Kk, Bj + Kk, 1u, Kend - Kk);
-        }
-      }
-    }
-  }
 }
 
 /// C(MxN) += A^T . B with A stored KxM: a sequence of rank-1 updates.
@@ -378,11 +313,6 @@ void gemmTNSerial(unsigned M, unsigned N, unsigned K, const T *A, unsigned LdA,
 //===----------------------------------------------------------------------===//
 // Packed macro-kernel layer
 //===----------------------------------------------------------------------===//
-
-// The TN macro-kernel tiles k by KC while reproducing gemmTNSerial's
-// *absolute* MR-groups over the full K; that only lines up because
-// every KC block boundary is itself a group boundary.
-static_assert(KC % MR == 0, "KC blocks must align with MR k-groups");
 
 /// Packed panels pad their row stride by one cache line. Matrix sizes
 /// tend to be powers of two, which makes the natural panel stride a
@@ -448,9 +378,7 @@ inline void packTranspose(const T *__restrict Src, unsigned LdSrc, unsigned y0,
 template <typename T>
 void gemmNNPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
                         unsigned LdA, const T *B, unsigned LdB, T *C,
-                        unsigned LdC, bool Simd, T *__restrict Ap,
-                        T *__restrict Bp) {
-  (void)Simd;
+                        unsigned LdC, T *__restrict Ap, T *__restrict Bp) {
   constexpr unsigned Pad = packPad(sizeof(T));
   for (unsigned Jj = 0; Jj < N; Jj += NC) {
     const unsigned Jend = std::min(N, Jj + NC), NB = Jend - Jj;
@@ -464,33 +392,18 @@ void gemmNNPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
         packBlock(A, LdA, Ii, Iend, Kk, Kend, Ap, LdAp);
         T *Cb = C + static_cast<size_t>(Ii) * LdC + Jj;
         unsigned I = 0;
-#if MLIRRL_GEMM_HAVE_SIMD
-        if (Simd) {
-          for (; I + MR <= MB; I += MR)
-            microNNSimd<T>(MR, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC, I);
-          if (I < MB)
-            microNNSimd<T>(MB - I, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC,
-                           I);
-          continue;
-        }
-#endif
         for (; I + MR <= MB; I += MR)
-          microNNScalar<T>(MR, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC, I);
+          microNNSimd<T>(MR, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC, I);
         if (I < MB)
-          microNNScalar<T>(MB - I, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC,
-                           I);
+          microNNSimd<T>(MB - I, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC, I);
       }
     }
   }
 }
 
 /// Packed NT micro-kernel, scalar form: C[i][j] += (sum over the packed
-/// k panel of Ap[i][k] * Bp[k][j]), one microNTDot chain per element --
-/// literally the same emitted function gemmNTSerial runs, called with
-/// the transposed panel's column stride, so the packed path is
-/// bitwise-identical by shared machine code. This form exists as the
-/// Scalar-dispatch reference and the sub-vector j tail; the SIMD form
-/// below is the fast path.
+/// k panel of Ap[i][k] * Bp[k][j]), one microNTDot chain per element.
+/// It runs microNTPackedSimd's sub-vector j tails.
 template <typename T>
 inline void microNTPackedScalar(unsigned Rows, unsigned NB, unsigned KB,
                                 const T *__restrict Ap, unsigned LdAp,
@@ -504,11 +417,9 @@ inline void microNTPackedScalar(unsigned Rows, unsigned NB, unsigned KB,
   }
 }
 
-#if MLIRRL_GEMM_HAVE_SIMD
-
-/// Packed NT micro-kernel, SIMD form. The unpacked NT kernel is
-/// latency-bound: one scalar Acc chain per (i, j) means every fma waits
-/// on the previous one. Here the j axis is widened into vector lanes
+/// Packed NT micro-kernel, SIMD form. A scalar NT kernel is
+/// latency-bound: one Acc chain per (i, j) means every fma waits on the
+/// previous one. Here the j axis is widened into vector lanes
 /// and an MR-row x 2-vector block of partial sums lives in registers,
 /// so 8 independent accumulator chains cover the fma latency -- but
 /// each *lane* still computes the exact chain the scalar kernel does:
@@ -616,21 +527,16 @@ inline void microNTPackedSimd(unsigned Rows, unsigned NB, unsigned KB,
   }
 }
 
-#endif // MLIRRL_GEMM_HAVE_SIMD
-
 /// Packed NT driver: C(MxN) += A(MxK) . B^T with B stored NxK. B is
 /// transpose-packed per (Jj, Kk) block -- Bp[k][j] = B[j][k] -- so the
-/// k-reduction that made the unpacked kernel crawl (LdB-strided loads,
-/// one latency-bound Acc chain) becomes contiguous vector loads; A is
-/// straight-packed dense. Per C element the accumulation is unchanged:
-/// ascending KC blocks, a zero-started partial sum per block, C += per
-/// block.
+/// k-reduction reads contiguous j-vectors instead of LdB-strided
+/// gathers; A is straight-packed dense. Per C element the accumulation
+/// is: ascending KC blocks, a zero-started partial sum per block, C +=
+/// per block.
 template <typename T>
 void gemmNTPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
                         unsigned LdA, const T *B, unsigned LdB, T *C,
-                        unsigned LdC, bool Simd, T *__restrict Ap,
-                        T *__restrict Bp) {
-  (void)Simd;
+                        unsigned LdC, T *__restrict Ap, T *__restrict Bp) {
   constexpr unsigned Pad = packPad(sizeof(T));
   for (unsigned Jj = 0; Jj < N; Jj += NC) {
     const unsigned Jend = std::min(N, Jj + NC), NB = Jend - Jj;
@@ -644,113 +550,14 @@ void gemmNTPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
         packBlock(A, LdA, Ii, Iend, Kk, Kend, Ap, LdAp);
         T *Cb = C + static_cast<size_t>(Ii) * LdC + Jj;
         unsigned I = 0;
-#if MLIRRL_GEMM_HAVE_SIMD
-        if (Simd) {
-          for (; I + MR <= MB; I += MR)
-            microNTPackedSimd<T>(MR, NB, KB, Ap + static_cast<size_t>(I) * LdAp,
-                                 LdAp, Bp, LdBp,
-                                 Cb + static_cast<size_t>(I) * LdC, LdC);
-          if (I < MB)
-            microNTPackedSimd<T>(MB - I, NB, KB,
-                                 Ap + static_cast<size_t>(I) * LdAp, LdAp, Bp,
-                                 LdBp, Cb + static_cast<size_t>(I) * LdC, LdC);
-          continue;
-        }
-#endif
         for (; I + MR <= MB; I += MR)
-          microNTPackedScalar<T>(MR, NB, KB, Ap + static_cast<size_t>(I) * LdAp,
-                                 LdAp, Bp, LdBp,
-                                 Cb + static_cast<size_t>(I) * LdC, LdC);
+          microNTPackedSimd<T>(MR, NB, KB, Ap + static_cast<size_t>(I) * LdAp,
+                               LdAp, Bp, LdBp,
+                               Cb + static_cast<size_t>(I) * LdC, LdC);
         if (I < MB)
-          microNTPackedScalar<T>(MB - I, NB, KB,
-                                 Ap + static_cast<size_t>(I) * LdAp, LdAp, Bp,
-                                 LdBp, Cb + static_cast<size_t>(I) * LdC, LdC);
-      }
-    }
-  }
-}
-
-/// Packed TN micro-kernel: reproduces gemmTNSerial's accumulation
-/// exactly -- ascending k in groups of MR, each group's four products
-/// summed as ((V0*B0 + V1*B1) + V2*B2) + V3*B3 and added to C once,
-/// all-zero groups skipped (the skip is load-bearing for sparse
-/// dW += X^T . dC batches *and* for bitwise identity: dropping it could
-/// flip a -0.0 in C). Loop order is gemmTNSerial's too -- k-groups
-/// outer, rows inner -- so the group's four B rows stay L1-hot across
-/// the whole row sweep; what packing changes is that each row's four A
-/// values come from one contiguous quad of the transpose-packed panel
-/// instead of four LdA-strided streams. One emission serves both
-/// dispatches: the j loop is an independent-lane elementwise update
-/// (not a reduction), so the compiler's vectorization of it cannot
-/// reorder any element's k chain, and Scalar/Simd dispatch sharing this
-/// function makes their bitwise identity a property of the binary.
-template <typename T>
-inline void microTNPacked(unsigned Rows, unsigned NB, unsigned KB,
-                          const T *__restrict Ap, unsigned LdAp,
-                          const T *__restrict B, unsigned LdB, T *__restrict C,
-                          unsigned LdC) {
-  unsigned Kx = 0;
-  for (; Kx + MR <= KB; Kx += MR) {
-    const T *__restrict B0 = B + static_cast<size_t>(Kx + 0) * LdB;
-    const T *__restrict B1 = B + static_cast<size_t>(Kx + 1) * LdB;
-    const T *__restrict B2 = B + static_cast<size_t>(Kx + 2) * LdB;
-    const T *__restrict B3 = B + static_cast<size_t>(Kx + 3) * LdB;
-    for (unsigned I = 0; I < Rows; ++I) {
-      const T *__restrict Ai = Ap + static_cast<size_t>(I) * LdAp;
-      const T V0 = Ai[Kx + 0], V1 = Ai[Kx + 1], V2 = Ai[Kx + 2],
-              V3 = Ai[Kx + 3];
-      if (V0 == T(0) && V1 == T(0) && V2 == T(0) && V3 == T(0))
-        continue;
-      T *__restrict Ci = C + static_cast<size_t>(I) * LdC;
-      for (unsigned J = 0; J < NB; ++J)
-        Ci[J] += V0 * B0[J] + V1 * B1[J] + V2 * B2[J] + V3 * B3[J];
-    }
-  }
-  for (; Kx < KB; ++Kx) {
-    const T *__restrict Bk = B + static_cast<size_t>(Kx) * LdB;
-    for (unsigned I = 0; I < Rows; ++I) {
-      const T V = Ap[static_cast<size_t>(I) * LdAp + Kx];
-      if (V == T(0))
-        continue;
-      T *__restrict Ci = C + static_cast<size_t>(I) * LdC;
-      for (unsigned J = 0; J < NB; ++J)
-        Ci[J] += V * Bk[J];
-    }
-  }
-}
-
-/// Packed TN driver: C(MxN) += A^T . B with A stored KxM. A is
-/// transpose-packed per (Ii, Kk) block -- Ap[i][k] = A[k][i] -- so each
-/// C row's k sweep loads its MR A values from one contiguous run; B is
-/// straight-packed with the padded stride (its rows are already
-/// j-contiguous, but power-of-two leading dimensions alias every k step
-/// of the column sweep into one L1 set without the skew). k is tiled by
-/// KC (KC % MR == 0 keeps block-local groups identical to
-/// gemmTNSerial's absolute groups for any K; only the final block
-/// carries the sub-MR remainder), so per C element the update sequence
-/// -- group sums in ascending k, zero groups skipped -- is unchanged.
-template <typename T>
-void gemmTNPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
-                        unsigned LdA, const T *B, unsigned LdB, T *C,
-                        unsigned LdC, bool Simd, T *__restrict Ap,
-                        T *__restrict Bp) {
-  (void)Simd;
-  constexpr unsigned Pad = packPad(sizeof(T));
-  for (unsigned Jj = 0; Jj < N; Jj += NC) {
-    const unsigned Jend = std::min(N, Jj + NC), NB = Jend - Jj;
-    const unsigned LdBp = NB + Pad;
-    for (unsigned Kk = 0; Kk < K; Kk += KC) {
-      const unsigned Kend = std::min(K, Kk + KC), KB = Kend - Kk;
-      const unsigned LdAp = KB + Pad;
-      packBlock(B, LdB, Kk, Kend, Jj, Jend, Bp, LdBp);
-      for (unsigned Ii = 0; Ii < M; Ii += MC) {
-        const unsigned Iend = std::min(M, Ii + MC), MB = Iend - Ii;
-        packTranspose(A, LdA, Kk, Kend, Ii, Iend, Ap, LdAp);
-        T *Cb = C + static_cast<size_t>(Ii) * LdC + Jj;
-        // One micro-kernel for both dispatches (see microTNPacked): the
-        // TN inner loop is already the autovectorizer's best case, and
-        // a single emission keeps Scalar/Simd bitwise-equal for free.
-        microTNPacked<T>(MB, NB, KB, Ap, LdAp, Bp, LdBp, Cb, LdC);
+          microNTPackedSimd<T>(MB - I, NB, KB,
+                               Ap + static_cast<size_t>(I) * LdAp, LdAp, Bp,
+                               LdBp, Cb + static_cast<size_t>(I) * LdC, LdC);
       }
     }
   }

@@ -30,8 +30,8 @@ inline constexpr std::size_t BufferAlignment = 64;
 /// loop issuing thousands of GEMMs -- performs zero per-call
 /// allocations after warmup; the owner is expected to surface the
 /// reuse/grow split through CacheStatsRegistry (hits = reuses,
-/// misses = fresh allocations), which is what lets CI assert the
-/// steady state actually holds.
+/// misses = fresh allocations), which is what lets GemmTest assert
+/// the steady state actually holds.
 class AlignedArena {
 public:
   AlignedArena() = default;

@@ -2,11 +2,13 @@
 //
 // The blocked kernels must be bit-compatible in shape handling with a
 // naive triple loop on every shape, in particular shapes that are not
-// multiples of the blocking parameters (MC/KC/NC/MR tails).
+// multiples of the blocking parameters (MC/KC/NC/MR tails), and match
+// references built from the scalar micro-kernels at 0 ULP.
 //
 //===----------------------------------------------------------------------===//
 
 #include "nn/Gemm.h"
+#include "nn/GemmKernel.h"
 #include "nn/Ops.h"
 #include "nn/Tensor.h"
 #include "support/Rng.h"
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -24,10 +27,10 @@ using namespace mlirrl::nn;
 
 namespace {
 
-std::vector<double> randomData(Rng &R, unsigned N) {
-  std::vector<double> V(N);
-  for (double &X : V)
-    X = R.nextDouble(-1.0, 1.0);
+template <typename T = double> std::vector<T> randomData(Rng &R, unsigned N) {
+  std::vector<T> V(N);
+  for (T &X : V)
+    X = static_cast<T>(R.nextDouble(-1.0, 1.0));
   return V;
 }
 
@@ -186,17 +189,10 @@ TEST(GemmTest, FusedLinearMatchesMatmulAddBias) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dtype-parameterized kernels: float accuracy and scalar/SIMD parity.
+// Float NN accuracy.
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::vector<float> randomDataF(Rng &R, unsigned N) {
-  std::vector<float> V(N);
-  for (float &X : V)
-    X = static_cast<float>(R.nextDouble(-1.0, 1.0));
-  return V;
-}
 
 // Edge shapes per dimension: ones, primes, and non-multiples of the
 // MR = 4 register tile and the SIMD vector length (8 floats / 4
@@ -213,20 +209,13 @@ double floatTol(unsigned K, double Ref) {
          (1.0 + std::fabs(Ref));
 }
 
-/// Restores the dispatch mode on scope exit so a failing expectation
-/// cannot leak a forced kernel into the other tests.
-struct KernelScope {
-  GemmKernel Saved = getGemmKernel();
-  ~KernelScope() { setGemmKernel(Saved); }
-};
-
 } // namespace
 
 TEST(GemmTest, FloatNNMatchesNaiveWithinRelError) {
   Rng R(52);
   for (const Shape &S : EdgeShapes) {
-    std::vector<float> A = randomDataF(R, S.M * S.K);
-    std::vector<float> B = randomDataF(R, S.K * S.N);
+    std::vector<float> A = randomData<float>(R, S.M * S.K);
+    std::vector<float> B = randomData<float>(R, S.K * S.N);
     std::vector<float> Out(S.M * S.N, 0.0f);
     std::vector<double> Ref(S.M * S.N, 0.0);
     for (unsigned I = 0; I < S.M; ++I)
@@ -235,44 +224,6 @@ TEST(GemmTest, FloatNNMatchesNaiveWithinRelError) {
           Ref[I * S.N + J] +=
               static_cast<double>(A[I * S.K + Kk]) * B[Kk * S.N + J];
     gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Out.data(), S.N);
-    for (unsigned I = 0; I < S.M * S.N; ++I)
-      EXPECT_NEAR(static_cast<double>(Out[I]), Ref[I], floatTol(S.K, Ref[I]))
-          << "M=" << S.M << " K=" << S.K << " N=" << S.N << " idx=" << I;
-  }
-}
-
-TEST(GemmTest, FloatNTMatchesNaiveWithinRelError) {
-  Rng R(53);
-  for (const Shape &S : EdgeShapes) {
-    std::vector<float> A = randomDataF(R, S.M * S.K);
-    std::vector<float> B = randomDataF(R, S.N * S.K);
-    std::vector<float> Out(S.M * S.N, 0.0f);
-    std::vector<double> Ref(S.M * S.N, 0.0);
-    for (unsigned I = 0; I < S.M; ++I)
-      for (unsigned J = 0; J < S.N; ++J)
-        for (unsigned Kk = 0; Kk < S.K; ++Kk)
-          Ref[I * S.N + J] +=
-              static_cast<double>(A[I * S.K + Kk]) * B[J * S.K + Kk];
-    gemmAccNT(S.M, S.N, S.K, A.data(), S.K, B.data(), S.K, Out.data(), S.N);
-    for (unsigned I = 0; I < S.M * S.N; ++I)
-      EXPECT_NEAR(static_cast<double>(Out[I]), Ref[I], floatTol(S.K, Ref[I]))
-          << "M=" << S.M << " K=" << S.K << " N=" << S.N << " idx=" << I;
-  }
-}
-
-TEST(GemmTest, FloatTNMatchesNaiveWithinRelError) {
-  Rng R(54);
-  for (const Shape &S : EdgeShapes) {
-    std::vector<float> A = randomDataF(R, S.K * S.M);
-    std::vector<float> B = randomDataF(R, S.K * S.N);
-    std::vector<float> Out(S.M * S.N, 0.0f);
-    std::vector<double> Ref(S.M * S.N, 0.0);
-    for (unsigned Kk = 0; Kk < S.K; ++Kk)
-      for (unsigned I = 0; I < S.M; ++I)
-        for (unsigned J = 0; J < S.N; ++J)
-          Ref[I * S.N + J] +=
-              static_cast<double>(A[Kk * S.M + I]) * B[Kk * S.N + J];
-    gemmAccTN(S.M, S.N, S.K, A.data(), S.M, B.data(), S.N, Out.data(), S.N);
     for (unsigned I = 0; I < S.M * S.N; ++I)
       EXPECT_NEAR(static_cast<double>(Out[I]), Ref[I], floatTol(S.K, Ref[I]))
           << "M=" << S.M << " K=" << S.K << " N=" << S.N << " idx=" << I;
@@ -293,70 +244,11 @@ TEST(GemmTest, DoubleEdgeShapesMatchNaive) {
   }
 }
 
-namespace {
-
-/// The dispatched (SIMD) kernels against the scalar fallback at 0 ULP,
-/// for all three layouts: NN, then NT (B stored NxK) and TN (A stored
-/// KxM) on the same buffers.
-template <typename T> void expectDispatchedBitwiseEqual(unsigned Seed) {
-  KernelScope Restore;
-  Rng R(Seed);
-  for (const Shape &S : EdgeShapes) {
-    std::vector<T> A(S.M * S.K), B(S.K * S.N);
-    for (T &X : A)
-      X = static_cast<T>(R.nextDouble(-1.0, 1.0));
-    for (T &X : B)
-      X = static_cast<T>(R.nextDouble(-1.0, 1.0));
-    auto RunAll = [&](GemmKernel Kind, std::vector<T> &Nn, std::vector<T> &Nt,
-                      std::vector<T> &Tn) {
-      setGemmKernel(Kind);
-      gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Nn.data(), S.N);
-      gemmAccNT(S.M, S.N, S.K, A.data(), S.K, B.data(), S.K, Nt.data(), S.N);
-      gemmAccTN(S.M, S.N, S.K, A.data(), S.M, B.data(), S.N, Tn.data(), S.N);
-    };
-    // Pre-filled C checks that both kernels share the accumulate
-    // contract, not just the product.
-    const std::vector<T> Init(S.M * S.N, static_cast<T>(0.125));
-    std::vector<T> NnS = Init, NtS = Init, TnS = Init;
-    std::vector<T> NnV = Init, NtV = Init, TnV = Init;
-    RunAll(GemmKernel::Scalar, NnS, NtS, TnS);
-    RunAll(GemmKernel::Simd, NnV, NtV, TnV);
-    const size_t Bytes = Init.size() * sizeof(T);
-    EXPECT_EQ(0, std::memcmp(NnS.data(), NnV.data(), Bytes))
-        << "NN M=" << S.M << " K=" << S.K << " N=" << S.N;
-    EXPECT_EQ(0, std::memcmp(NtS.data(), NtV.data(), Bytes))
-        << "NT M=" << S.M << " K=" << S.K << " N=" << S.N;
-    EXPECT_EQ(0, std::memcmp(TnS.data(), TnV.data(), Bytes))
-        << "TN M=" << S.M << " K=" << S.K << " N=" << S.N;
-  }
-}
-
-} // namespace
-
-TEST(GemmTest, DispatchedNNBitwiseEqualsScalarDouble) {
-  if (!gemmSimdAvailable())
-    GTEST_SKIP() << "no SIMD kernel in this build";
-  expectDispatchedBitwiseEqual<double>(56);
-}
-
-TEST(GemmTest, DispatchedNNBitwiseEqualsScalarFloat) {
-  if (!gemmSimdAvailable())
-    GTEST_SKIP() << "no SIMD kernel in this build";
-  expectDispatchedBitwiseEqual<float>(57);
-}
-
 //===----------------------------------------------------------------------===//
-// Packed macro-kernel path: 0-ULP against the streaming kernels.
+// 0-ULP checks against references built from the scalar micro-kernels.
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// Restores the packing mode on scope exit (same rationale as
-/// KernelScope).
-struct PackingScope {
-  GemmPacking Saved = getGemmPacking();
-  ~PackingScope() { setGemmPacking(Saved); }
-};
 
 /// Packing-specific edge shapes on top of EdgeShapes: M=1 skinny calls
 /// with wide/deep panels (the pack arena still has to handle a single
@@ -364,142 +256,177 @@ struct PackingScope {
 const Shape PackShapes[] = {{1, 259, 516}, {1, 512, 64},  {4, 256, 512},
                             {5, 257, 513}, {64, 256, 512}, {12, 1024, 48}};
 
-/// Runs kernel Op (NN/NT/TN dispatcher below) with packing forced Off
-/// then On and memcmps the two C buffers; repeated under Scalar and
-/// (when available) Simd kernel dispatch. 0 ULP is the contract --
-/// packing is pure layout -- and this is the empirical guard that no
-/// packed loop got a different fp-contraction mix than its streaming
-/// twin.
-template <typename T, typename Kernel>
-void expectPackedBitwiseEqual(const char *Name, unsigned Seed, Kernel Op,
-                              bool SwapsAK) {
-  KernelScope RestoreKernel;
-  PackingScope RestorePacking;
-  Rng R(Seed);
+std::vector<Shape> edgeAndPackShapes() {
   std::vector<Shape> All(std::begin(EdgeShapes), std::end(EdgeShapes));
   All.insert(All.end(), std::begin(PackShapes), std::end(PackShapes));
-  for (const Shape &S : All) {
-    const unsigned ARows = SwapsAK ? S.K : S.M, ACols = SwapsAK ? S.M : S.K;
-    std::vector<T> A(ARows * ACols), B(S.K * S.N);
-    for (T &X : A)
-      X = static_cast<T>(R.nextDouble(-1.0, 1.0));
-    for (T &X : B)
-      X = static_cast<T>(R.nextDouble(-1.0, 1.0));
-    for (GemmKernel Kind : {GemmKernel::Scalar, GemmKernel::Simd}) {
-      if (Kind == GemmKernel::Simd && !gemmSimdAvailable())
-        continue;
-      setGemmKernel(Kind);
-      std::vector<T> Cu(S.M * S.N, static_cast<T>(0.125)),
-          Cp(S.M * S.N, static_cast<T>(0.125));
-      setGemmPacking(GemmPacking::Off);
-      Op(S, A.data(), B.data(), Cu.data());
-      setGemmPacking(GemmPacking::On);
-      Op(S, A.data(), B.data(), Cp.data());
-      EXPECT_EQ(0, std::memcmp(Cu.data(), Cp.data(), Cu.size() * sizeof(T)))
-          << Name << " M=" << S.M << " K=" << S.K << " N=" << S.N
-          << " kernel=" << (Kind == GemmKernel::Simd ? "simd" : "scalar");
-    }
+  return All;
+}
+
+/// C += A.B as detail::microNNScalar over MR-row tiles and the whole K
+/// and N: each element's ascending-k chain, which every NN driver must
+/// reproduce whatever its blocking or packing.
+template <typename T>
+void referenceNN(const Shape &S, const T *A, const T *B, T *C) {
+  for (unsigned I = 0; I < S.M; I += detail::MR)
+    detail::microNNScalar<T>(std::min(detail::MR, S.M - I), 0, S.N, 0, S.K,
+                             A, S.K, B, S.N, C, S.N, I);
+}
+
+/// C += A.B^T (B stored NxK) as one detail::microNTDot chain per element
+/// and KC block, added to C block by block: the sequence the packed NT
+/// kernel's SIMD lanes must compute.
+void referenceNT(const Shape &S, const double *A, const double *B,
+                 double *C) {
+  for (unsigned Kk = 0; Kk < S.K; Kk += detail::KC) {
+    const unsigned KB = std::min(detail::KC, S.K - Kk);
+    for (unsigned I = 0; I < S.M; ++I)
+      for (unsigned J = 0; J < S.N; ++J)
+        C[I * S.N + J] +=
+            detail::microNTDot(A + I * S.K + Kk, B + J * S.K + Kk, 1u, KB);
   }
 }
 
-template <typename T> struct GemmOps {
-  static void nn(const Shape &S, const T *A, const T *B, T *C) {
-    gemmAccNN(S.M, S.N, S.K, A, S.K, B, S.N, C, S.N);
+/// NN on every edge and pack shape at 0 ULP: the public entry (whichever
+/// driver its shape test picks) and the streaming driver against the
+/// reference, and the packed driver against the streaming one.
+/// Pre-filled C checks the accumulate contract, not just the product.
+template <typename T> void expectNNBitwiseEqualsReference(unsigned Seed) {
+  Rng R(Seed);
+  std::vector<T> Scratch(detail::PackScratchElems);
+  for (const Shape &S : edgeAndPackShapes()) {
+    std::vector<T> A = randomData<T>(R, S.M * S.K);
+    std::vector<T> B = randomData<T>(R, S.K * S.N);
+    const std::vector<T> Init(S.M * S.N, static_cast<T>(0.125));
+    std::vector<T> Ref = Init, Public = Init, Streamed = Init, Packed = Init;
+    referenceNN(S, A.data(), B.data(), Ref.data());
+    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Public.data(), S.N);
+    detail::gemmNNSerial<T>(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N,
+                            Streamed.data(), S.N);
+    detail::gemmNNPackedSerial<T>(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N,
+                                  Packed.data(), S.N,
+                                  Scratch.data() + detail::PackScratchAOffset,
+                                  Scratch.data());
+    const size_t Bytes = Init.size() * sizeof(T);
+    EXPECT_EQ(0, std::memcmp(Ref.data(), Public.data(), Bytes))
+        << "public M=" << S.M << " K=" << S.K << " N=" << S.N;
+    EXPECT_EQ(0, std::memcmp(Ref.data(), Streamed.data(), Bytes))
+        << "streaming M=" << S.M << " K=" << S.K << " N=" << S.N;
+    EXPECT_EQ(0, std::memcmp(Streamed.data(), Packed.data(), Bytes))
+        << "packed M=" << S.M << " K=" << S.K << " N=" << S.N;
   }
-  // NT stores B as NxK.
-  static void nt(const Shape &S, const T *A, const T *B, T *C) {
-    gemmAccNT(S.M, S.N, S.K, A, S.K, B, S.K, C, S.N);
-  }
-  // TN stores A as KxM.
-  static void tn(const Shape &S, const T *A, const T *B, T *C) {
-    gemmAccTN(S.M, S.N, S.K, A, S.M, B, S.N, C, S.N);
-  }
-};
+}
 
 } // namespace
 
-TEST(GemmTest, PackedNNBitwiseEqualsUnpackedDouble) {
-  expectPackedBitwiseEqual<double>("NN", 60, GemmOps<double>::nn, false);
+TEST(GemmTest, NNBitwiseEqualsScalarReferenceDouble) {
+  expectNNBitwiseEqualsReference<double>(56);
 }
 
-TEST(GemmTest, PackedNNBitwiseEqualsUnpackedFloat) {
-  expectPackedBitwiseEqual<float>("NN", 61, GemmOps<float>::nn, false);
+TEST(GemmTest, NNBitwiseEqualsScalarReferenceFloat) {
+  expectNNBitwiseEqualsReference<float>(57);
 }
 
-TEST(GemmTest, PackedNTBitwiseEqualsUnpackedDouble) {
-  expectPackedBitwiseEqual<double>("NT", 62, GemmOps<double>::nt, false);
+TEST(GemmTest, NTBitwiseEqualsDotReference) {
+  Rng R(62);
+  for (const Shape &S : edgeAndPackShapes()) {
+    std::vector<double> A = randomData(R, S.M * S.K);
+    std::vector<double> B = randomData(R, S.N * S.K);
+    std::vector<double> Ref(S.M * S.N, 0.125), Out = Ref;
+    referenceNT(S, A.data(), B.data(), Ref.data());
+    gemmAccNT(S.M, S.N, S.K, A.data(), S.K, B.data(), S.K, Out.data(), S.N);
+    EXPECT_EQ(0,
+              std::memcmp(Ref.data(), Out.data(), Ref.size() * sizeof(double)))
+        << "M=" << S.M << " K=" << S.K << " N=" << S.N;
+  }
 }
 
-TEST(GemmTest, PackedNTBitwiseEqualsUnpackedFloat) {
-  expectPackedBitwiseEqual<float>("NT", 63, GemmOps<float>::nt, false);
-}
-
-TEST(GemmTest, PackedTNBitwiseEqualsUnpackedDouble) {
-  expectPackedBitwiseEqual<double>("TN", 64, GemmOps<double>::tn, true);
-}
-
-TEST(GemmTest, PackedTNBitwiseEqualsUnpackedFloat) {
-  expectPackedBitwiseEqual<float>("TN", 65, GemmOps<float>::tn, true);
-}
-
-TEST(GemmTest, PackedTNPreservesZeroSkipSemantics) {
-  // The TN zero-skip must survive packing bitwise, including the case
-  // where skipping keeps a -0.0 in C that an unskipped 0-add would
-  // flip to +0.0.
-  PackingScope Restore;
+TEST(GemmTest, TNZeroSkipKeepsNegativeZero) {
+  // The TN kernel skips all-zero A groups and zero A values. The skip is
+  // exact, and it keeps a -0.0 in C that an unskipped 0-add would flip
+  // to +0.0.
   const unsigned M = 6, N = 8, K = 9; // remainder k's after the MR groups
   std::vector<double> A(K * M, 0.0), B(K * N);
   A[2 * M + 1] = 0.75; // one nonzero feature in an otherwise zero column
   Rng R(66);
   for (double &X : B)
     X = R.nextDouble(-1.0, 1.0);
-  std::vector<double> Cu(M * N, -0.0), Cp(M * N, -0.0);
-  setGemmPacking(GemmPacking::Off);
-  gemmAccTN(M, N, K, A.data(), M, B.data(), N, Cu.data(), N);
-  setGemmPacking(GemmPacking::On);
-  gemmAccTN(M, N, K, A.data(), M, B.data(), N, Cp.data(), N);
-  EXPECT_EQ(0, std::memcmp(Cu.data(), Cp.data(), Cu.size() * sizeof(double)));
-  // Untouched rows keep their -0.0 bit pattern in both paths.
-  EXPECT_TRUE(std::signbit(Cu[0]));
-  EXPECT_TRUE(std::signbit(Cp[0]));
+  std::vector<double> C(M * N, -0.0);
+  gemmAccTN(M, N, K, A.data(), M, B.data(), N, C.data(), N);
+  for (unsigned I = 0; I < M; ++I)
+    for (unsigned J = 0; J < N; ++J) {
+      if (I == 1) {
+        EXPECT_DOUBLE_EQ(C[I * N + J], 0.75 * B[2 * N + J]);
+        continue;
+      }
+      // Untouched rows keep their -0.0 bit pattern.
+      EXPECT_EQ(C[I * N + J], 0.0) << "I=" << I << " J=" << J;
+      EXPECT_TRUE(std::signbit(C[I * N + J])) << "I=" << I << " J=" << J;
+    }
 }
 
-TEST(GemmTest, PackedParallelBitwiseIdenticalAcrossPoolSizes) {
-  // The packed macro-kernel partitions rows across the installed pool
-  // with a fixed block -> thread assignment; results must be bitwise
-  // identical for every pool size (the determinism contract).
-  PackingScope RestorePacking;
-  setGemmPacking(GemmPacking::On);
-  const unsigned M = 96, N = 160, K = 300; // above MinParallelWork
-  Rng R(67);
-  std::vector<double> Ann(M * K), Bnn(K * N), Ant(M * K), Bnt(N * K),
-      Atn(K * M), Btn(K * N);
-  for (auto *V : {&Ann, &Bnn, &Ant, &Bnt, &Atn, &Btn})
-    for (double &X : *V)
-      X = R.nextDouble(-1.0, 1.0);
-  auto runAll = [&](std::vector<double> &C) {
-    gemmAccNN(M, N, K, Ann.data(), K, Bnn.data(), N, C.data(), N);
-    gemmAccNT(M, N, K, Ant.data(), K, Bnt.data(), K, C.data(), N);
-    gemmAccTN(M, N, K, Atn.data(), M, Btn.data(), N, C.data(), N);
+namespace {
+
+enum class Layout { NN, NT, TN };
+
+const char *const LayoutNames[] = {"NN", "NT", "TN"};
+
+/// Runs L's public entry point on dense row-major operands: A is MxK
+/// (TN: stored KxM), B is KxN (NT: stored NxK), C is MxN.
+void gemmAcc(Layout L, unsigned M, unsigned N, unsigned K, const double *A,
+             const double *B, double *C) {
+  switch (L) {
+  case Layout::NN:
+    gemmAccNN(M, N, K, A, K, B, N, C, N);
+    return;
+  case Layout::NT:
+    gemmAccNT(M, N, K, A, K, B, K, C, N);
+    return;
+  case Layout::TN:
+    gemmAccTN(M, N, K, A, M, B, N, C, N);
+    return;
+  }
+}
+
+} // namespace
+
+TEST(GemmTest, ParallelBitwiseIdenticalAcrossPoolSizes) {
+  // Row partitioning over the installed pool is a fixed block -> thread
+  // assignment, so results must be bitwise identical for every pool
+  // size (the determinism contract). Besides one large shape per
+  // layout, the cases are the products PPO training runs at the laptop
+  // nets' width, and a paper-size NN that takes the packed path. Every
+  // case exceeds MinParallelWork, so pools of 2 and 4 split its rows.
+  struct Case {
+    Layout L;
+    unsigned M, N, K;
   };
-  std::vector<double> Serial(M * N, 0.25);
-  runAll(Serial);
-  for (unsigned Threads : {2u, 4u}) {
-    ThreadPool Pool(Threads);
-    setGemmPool(&Pool);
-    std::vector<double> Par(M * N, 0.25);
-    runAll(Par);
-    setGemmPool(nullptr);
-    EXPECT_EQ(0,
-              std::memcmp(Serial.data(), Par.data(), Par.size() * sizeof(double)))
-        << "pool size " << Threads;
+  const Case Cases[] = {{Layout::NN, 96, 160, 300}, {Layout::NT, 96, 160, 300},
+                        {Layout::TN, 96, 160, 300}, {Layout::NN, 32, 48, 48},
+                        {Layout::NT, 32, 48, 48},   {Layout::NT, 32, 48, 72},
+                        {Layout::TN, 48, 48, 32},   {Layout::NN, 32, 512, 512}};
+  Rng R(67);
+  for (const Case &C : Cases) {
+    std::vector<double> A = randomData(R, C.M * C.K);
+    std::vector<double> B = randomData(R, C.K * C.N);
+    std::vector<double> Serial(C.M * C.N, 0.25);
+    gemmAcc(C.L, C.M, C.N, C.K, A.data(), B.data(), Serial.data());
+    for (unsigned Threads : {2u, 4u}) {
+      ThreadPool Pool(Threads);
+      setGemmPool(&Pool);
+      std::vector<double> Par(C.M * C.N, 0.25);
+      gemmAcc(C.L, C.M, C.N, C.K, A.data(), B.data(), Par.data());
+      setGemmPool(nullptr);
+      EXPECT_EQ(0, std::memcmp(Serial.data(), Par.data(),
+                               Par.size() * sizeof(double)))
+          << LayoutNames[static_cast<int>(C.L)] << " M=" << C.M
+          << " N=" << C.N << " K=" << C.K << " pool size " << Threads;
+    }
   }
 }
 
 TEST(GemmTest, PackArenaIsReusedAndAccounted) {
-  PackingScope Restore;
-  setGemmPacking(GemmPacking::On);
-  const unsigned M = 64, N = 96, K = 128;
+  // NT always packs, and NN packs at this shape (a 1 MB B panel).
+  const unsigned M = 64, N = 512, K = 256;
   std::vector<double> A(M * K, 0.5), B(K * N, 0.25), C(M * N, 0.0);
   auto Before = CacheStatsRegistry::instance().categoryStats("gemm.pack_arena");
   gemmAccNN(M, N, K, A.data(), K, B.data(), N, C.data(), N);
@@ -513,15 +440,4 @@ TEST(GemmTest, PackArenaIsReusedAndAccounted) {
   EXPECT_GE(After.Hits, Before.Hits + 2);
   EXPECT_LE(After.Misses, Before.Misses + 1);
   EXPECT_EQ(gemmPackScratchCapacity(), Cap);
-}
-
-TEST(GemmTest, SimdLanesReportedForBothDtypes) {
-  if (!gemmSimdAvailable()) {
-    EXPECT_EQ(gemmSimdLanes(sizeof(double)), 1u);
-    EXPECT_EQ(gemmSimdLanes(sizeof(float)), 1u);
-    return;
-  }
-  // 32-byte vectors: 4 doubles / 8 floats per lane group.
-  EXPECT_EQ(gemmSimdLanes(sizeof(double)), 4u);
-  EXPECT_EQ(gemmSimdLanes(sizeof(float)), 8u);
 }

@@ -66,7 +66,7 @@ import re
 import sys
 
 CPP_EXTENSIONS = (".cpp", ".h")
-SCAN_DIRS = ("src", "examples", "bench", "tests")
+SCAN_DIRS = ("src", "examples", "bench", "tests", "perfbench")
 
 # ---------------------------------------------------------------------------
 # Comment / string stripping
