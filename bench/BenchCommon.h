@@ -43,8 +43,8 @@ inline std::vector<Module> operatorTrainingSet(uint64_t Seed = 11) {
   return generateDnnOperatorDataset(R, DnnDatasetCounts::scaled(0.08));
 }
 
-/// Clears every cache hit/miss counter in the process (cost-model
-/// schedule memo, evaluator program/op memos, incremental repricer) so
+/// Clears every cache hit/miss counter in the process (the evaluator's
+/// per-op memo, the state's price reuse, the GEMM pack arena) so
 /// a bench's reported hit rates cover exactly the iterations it times,
 /// instead of accumulating across warmup and earlier repetitions (which
 /// overstated rates: every rep after the first started with a warm

@@ -96,7 +96,6 @@ void BM_ServeLatency(benchmark::State &State) {
   State.counters["p50_us"] = percentile(SamplesUs, 0.50);
   State.counters["p99_us"] = percentile(SamplesUs, 0.99);
   ServeStats S = Server.stats();
-  State.counters["program_memo_hit_rate"] = S.ProgramMemoHitRate;
   State.counters["op_memo_hit_rate"] = S.OpMemoHitRate;
 }
 
@@ -136,7 +135,6 @@ void BM_ServeThroughput(benchmark::State &State) {
         S.Batches ? static_cast<double>(S.Served) /
                         static_cast<double>(S.Batches)
                   : 0.0;
-    State.counters["program_memo_hit_rate"] = S.ProgramMemoHitRate;
     State.counters["op_memo_hit_rate"] = S.OpMemoHitRate;
     delete SharedServer;
     SharedServer = nullptr;

@@ -2,8 +2,8 @@
 //
 // The perf trajectory of the training core: ns per PPO train iteration
 // (episode collection + updates), blocked-matmul GFLOP/s forward and
-// through the backward products, and the cost-model schedule-cache hit
-// rate during training. scripts/bench_json.sh runs this binary with
+// through the backward products, and the per-op price memo's hit rate
+// during training. scripts/bench_json.sh runs this binary with
 // google-benchmark's JSON writer to produce BENCH_trainstep.json, the
 // cross-PR comparison artifact.
 //
@@ -43,11 +43,10 @@ void BM_TrainIteration(benchmark::State &State) {
     PpoIterationStats Stats = Sys.trainer().trainIteration(Stream);
     benchmark::DoNotOptimize(Stats.MeanEpisodeReward);
   }
-  CacheStatsRegistry::CategoryStats Cache =
-      CacheStatsRegistry::instance().categoryStats("cost_model.nest_memo");
-  State.counters["cost_cache_hit_rate"] = Cache.hitRate();
-  State.counters["cost_cache_lookups"] =
-      static_cast<double>(Cache.total());
+  CacheStatsRegistry::CategoryStats OpMemo =
+      CacheStatsRegistry::instance().categoryStats("evaluator.op_memo");
+  State.counters["op_memo_hit_rate"] = OpMemo.hitRate();
+  State.counters["op_memo_lookups"] = static_cast<double>(OpMemo.total());
   CacheStatsRegistry::CategoryStats Reuse =
       CacheStatsRegistry::instance().categoryStats("state.price_reuse");
   State.counters["state_price_reuse_rate"] = Reuse.hitRate();
@@ -66,11 +65,10 @@ void BM_TrainIterationFixedDataset(benchmark::State &State) {
     PpoIterationStats Stats = Sys.trainer().trainIteration(Data);
     benchmark::DoNotOptimize(Stats.MeanEpisodeReward);
   }
-  CacheStatsRegistry::CategoryStats Cache =
-      CacheStatsRegistry::instance().categoryStats("cost_model.nest_memo");
-  State.counters["cost_cache_hit_rate"] = Cache.hitRate();
-  State.counters["cost_cache_lookups"] =
-      static_cast<double>(Cache.total());
+  CacheStatsRegistry::CategoryStats OpMemo =
+      CacheStatsRegistry::instance().categoryStats("evaluator.op_memo");
+  State.counters["op_memo_hit_rate"] = OpMemo.hitRate();
+  State.counters["op_memo_lookups"] = static_cast<double>(OpMemo.total());
 }
 
 /// Per-step environment cost in Immediate-reward mode on multi-op

@@ -173,14 +173,14 @@ int main(int Argc, char **Argv) {
 
   ServeStats S = Server.stats();
   std::printf("serve_smoke: served %llu in %llu batches; rejected "
-              "%llu import / %llu queue-full / %llu shutdown; memo hit "
-              "rates program %.2f op %.2f\n",
+              "%llu import / %llu queue-full / %llu shutdown; op memo "
+              "hit rate %.2f\n",
               static_cast<unsigned long long>(S.Served),
               static_cast<unsigned long long>(S.Batches),
               static_cast<unsigned long long>(S.RejectedImport),
               static_cast<unsigned long long>(S.RejectedQueueFull),
               static_cast<unsigned long long>(S.RejectedShutdown),
-              S.ProgramMemoHitRate, S.OpMemoHitRate);
+              S.OpMemoHitRate);
 
   std::remove(CkptPath.c_str());
   if (Failures) {

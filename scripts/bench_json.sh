@@ -116,34 +116,26 @@ if [[ ! -x "$BIN" ]]; then
   exit 1
 fi
 
-"$BIN" --benchmark_format=console \
-       --benchmark_out_format=json \
-       --benchmark_out="$OUT" \
-       --benchmark_min_time=0.2 ${FILTER:+"$FILTER"} "${@:3}"
-
-# Record the host's core count in the artifact: google-benchmark's own
-# context has num_cpus, but the explicit top-level key makes the
-# "which sweeps could this box actually run" question greppable.
-# Every artifact also records the compiler and the -march the binary
-# was built with -- the GEMM kernels are the obvious dependents, but
-# the serve numbers ride the same packed/SIMD inference kernels, so
-# --serve carries the keys too and comparing artifacts that differ in
-# (machine, compiler, ISA flags) is meaningless either way.
+# Record the host's core count, the compiler and the -march the binary
+# was built with in the artifact's "context" object (google-benchmark's
+# --benchmark_context): num_cpus is already there, but the explicit key
+# makes the "which sweeps could this box actually run" question
+# greppable. The GEMM kernels are the obvious dependents of compiler and
+# ISA flags, but the serve numbers ride the same packed/SIMD inference
+# kernels, so every artifact carries the keys: comparing artifacts that
+# differ in (machine, compiler, ISA flags) is meaningless either way.
+# The flag splits its value on commas, so the compiler banner drops any.
 CXX_BIN=$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$REPO_ROOT/$BUILD_DIR/CMakeCache.txt" | head -1)
 COMPILER=$("${CXX_BIN:-c++}" --version 2>/dev/null | head -1 || echo unknown)
+COMPILER=${COMPILER//,/}
 MARCH=native
 grep -q 'MLIRRL_HAS_MARCH_NATIVE:INTERNAL=1' \
     "$REPO_ROOT/$BUILD_DIR/CMakeCache.txt" 2>/dev/null || MARCH=default
-TMP="$OUT.tmp"
-awk -v nproc="$NPROC" -v compiler="$COMPILER" -v march="$MARCH" '
-  NR==1 && $0 ~ /^\{/ {
-    print "{"
-    print "  \"nproc\": " nproc ","
-    print "  \"compiler\": \"" compiler "\","
-    print "  \"march\": \"" march "\","
-    next
-  }
-  { print }' "$OUT" > "$TMP"
-mv "$TMP" "$OUT"
+
+"$BIN" --benchmark_format=console \
+       --benchmark_out_format=json \
+       --benchmark_out="$OUT" \
+       --benchmark_context="nproc=$NPROC,compiler=$COMPILER,march=$MARCH" \
+       --benchmark_min_time=0.2 ${FILTER:+"$FILTER"} "${@:3}"
 
 echo "wrote $OUT (nproc=$NPROC, $COMPILER, -march=$MARCH)"

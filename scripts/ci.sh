@@ -151,9 +151,9 @@ fi
 
 # --- TSan pass (opt-in: --sanitize=thread) --------------------------------
 # A third tree under ThreadSanitizer, restricted to the
-# concurrency-heavy subset: the striped-memo and cost-cache tests, the
-# full serving suite (including the reload and three-way race hammers),
-# the determinism matrix (thread-count sweeps), GemmTest (row-partitioned
+# concurrency-heavy subset: the striped-memo tests, the full serving
+# suite (including the reload and three-way race hammers), the
+# determinism matrix (thread-count sweeps), GemmTest (row-partitioned
 # GEMMs over pools of 2 and 4, with thread_local pack arenas feeding the
 # shared "gemm.pack_arena" counters), and the dedicated TSan stress
 # test. halt_on_error=1 turns the first report into a failure;
@@ -167,7 +167,7 @@ if [[ "$sanitize" == thread ]]; then
   cmake -B build-tsan -S . -DMLIRRL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$(nproc)"
-  tsan_subset='support/TsanStressTest|support/StatsTest|perf/StripedLruTest|perf/CostCacheTest|serve/ServeTest|serve/ServeReloadTest|serve/ServeRaceTest|rl/DeterminismMatrixTest|rl/ParallelDeterminismTest|nn/GemmTest'
+  tsan_subset='support/TsanStressTest|support/StatsTest|perf/StripedLruTest|serve/ServeTest|serve/ServeReloadTest|serve/ServeRaceTest|rl/DeterminismMatrixTest|rl/ParallelDeterminismTest|nn/GemmTest'
   (cd build-tsan &&
      TSAN_OPTIONS=halt_on_error=1 \
      ctest --output-on-failure --timeout 900 -j "$(nproc)" \

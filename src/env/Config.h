@@ -64,12 +64,12 @@ struct EnvConfig {
   /// Tile-size candidates (first entry must be 0 = "do not tile").
   std::vector<int64_t> TileCandidates = {0, 1, 2, 4, 8, 16, 32, 64};
 
-  /// Price rewards and build observations incrementally through the
-  /// ScheduleState transaction layer (only the op nests an action
-  /// dirtied are re-materialized, re-priced and re-featurized). Off =
-  /// the from-scratch oracle path; both produce bitwise-identical
-  /// prices, observations and trajectories (the DeterminismMatrix and
-  /// IncrementalEquivalence tests sweep the pair).
+  /// Price the baseline and rewards and build observations
+  /// incrementally through the ScheduleState transaction layer (only
+  /// the op nests an action dirtied are re-materialized, re-priced and
+  /// re-featurized). Off = the from-scratch oracle path; both produce
+  /// bitwise-identical prices, observations and trajectories (the
+  /// DeterminismMatrix and IncrementalEquivalence tests sweep the pair).
   bool Incremental = true;
 
   /// Run the post-transform invariant pass (transforms/PostTransformChecks)

@@ -22,7 +22,13 @@ Environment::Environment(EnvConfig Config, Evaluator &Eval, Module Sample)
   StaticFeat.resize(this->Sample.getNumOps());
   ProducerFeat.resize(this->Sample.getNumOps());
 
-  BaselineSeconds = Eval.timeBaseline(this->Sample);
+  // The fresh state is the unscheduled module, so pricing it is the
+  // baseline, bitwise (materializeBaseline is materializeModule under
+  // the empty schedule). Incremental: every op price lands in the
+  // state's slots, and the first reward re-prices only the op its
+  // action dirtied. From-scratch: the whole-module oracle.
+  BaselineSeconds = Config.Incremental ? Eval.timeState(State)
+                                       : Eval.timeBaseline(this->Sample);
   PreviousSeconds = BaselineSeconds;
   // The baseline itself is measured once (Runs executions).
   MeasurementSeconds += BaselineSeconds;

@@ -207,7 +207,7 @@ TrafficBreakdown CostModel::estimateTraffic(const LoopNest &Nest) const {
 }
 
 // ---------------------------------------------------------------------------
-// Schedule memoization
+// Structural hashing
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -276,47 +276,7 @@ uint64_t mlirrl::hashLoopNest(const LoopNest &Nest) {
   return H.finish();
 }
 
-CostModel &CostModel::operator=(const CostModel &Other) {
-  if (this == &Other)
-    return *this;
-  // The memo operations stay under the settings lock: a concurrent
-  // setCacheCapacity on the destination also holds CacheMutex, so its
-  // capacity cannot be silently overwritten mid-assignment. Lock order
-  // is CacheMutex -> shard locks, same as setCacheCapacity.
-  std::scoped_lock Lock(CacheMutex, Other.CacheMutex);
-  Machine = Other.Machine;
-  CacheCapacity = Other.CacheCapacity;
-  // Mirror the copy constructor: the memo is per-instance state, and
-  // our entries priced against the machine we just replaced.
-  Memo.clear();
-  Memo.resetCounters();
-  Memo.setCapacity(CacheCapacity);
-  return *this;
-}
-
 TimeBreakdown CostModel::estimateNest(const LoopNest &Nest) const {
-  // All the concurrency-sensitive LRU mechanics (re-check under the
-  // insert lock, duplicate accounting, tail eviction) live in the
-  // shared StripedLruMemo -- one implementation for every memo.
-  return Memo.memoized(hashLoopNest(Nest),
-                       [&] { return computeNest(Nest); });
-}
-
-HitMissCounters CostModel::getCacheCounters() const {
-  return Memo.counters();
-}
-
-void CostModel::resetCacheCounters() const { Memo.resetCounters(); }
-
-void CostModel::clearCache() const { Memo.clear(); }
-
-void CostModel::setCacheCapacity(size_t Capacity) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  CacheCapacity = Capacity == 0 ? 1 : Capacity;
-  Memo.setCapacity(CacheCapacity);
-}
-
-TimeBreakdown CostModel::computeNest(const LoopNest &Nest) const {
   double ComputeSeconds = 0.0, LoopIterations = 0.0;
   TrafficBreakdown Traffic;
   for (unsigned B = 0; B < Nest.Bodies.size(); ++B) {

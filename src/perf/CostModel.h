@@ -21,12 +21,9 @@
 #define MLIRRL_PERF_COSTMODEL_H
 
 #include "perf/MachineModel.h"
-#include "support/Stats.h"
-#include "support/StripedLru.h"
 #include "transforms/LoopNest.h"
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,45 +56,20 @@ struct TrafficBreakdown {
 
 /// Structural hash of a scheduled nest: loop-nest shape, access maps and
 /// arithmetic -- everything estimateNest consumes. Two nests with equal
-/// keys are priced identically, which is what makes the schedule memo
-/// below sound.
+/// keys are priced identically.
 uint64_t hashLoopNest(const LoopNest &Nest);
 
-/// The analytical cost model. estimateNest results are memoized in an
-/// LRU table keyed by the structural schedule hash: episode sweeps
-/// re-price the same partial schedules constantly (every step re-times
-/// the whole module, every episode re-times the baseline), and a hit
-/// skips the working-set analysis entirely. The table is thread-safe so
-/// parallel episode collection can share one model.
+/// The analytical cost model: a plain value over its machine
+/// description. Pricing is a pure function of (machine, nest), so one
+/// model may be shared by any number of threads; memoization lives in
+/// front of it, in CachingEvaluator's per-op table (perf/Evaluator.h).
 class CostModel {
 public:
   explicit CostModel(MachineModel Machine) : Machine(Machine) {}
 
-  /// Copies share the machine description and capacity setting but not
-  /// the memo table (entries and counters start fresh). Both reads
-  /// happen under the source's lock: now that assignment can replace
-  /// Machine, an unlocked read could tear against a concurrent
-  /// `Other = ...`.
-  CostModel(const CostModel &Other) {
-    {
-      std::lock_guard<std::mutex> Lock(Other.CacheMutex);
-      Machine = Other.Machine;
-      CacheCapacity = Other.CacheCapacity;
-    }
-    Memo.setCapacity(CacheCapacity);
-  }
-  /// Same semantics as the copy constructor: takes the machine and the
-  /// capacity setting, drops our memoized entries (they priced against
-  /// the old machine) and resets the counters. Locks both sides in one
-  /// deadlock-free scoped_lock, so assigning from a model other threads
-  /// are concurrently pricing through is safe; pricing through the
-  /// *destination* during assignment is not (the machine description
-  /// itself is being replaced).
-  CostModel &operator=(const CostModel &Other);
-
   const MachineModel &getMachine() const { return Machine; }
 
-  /// Estimates execution time of one scheduled nest (memoized).
+  /// Estimates execution time of one scheduled nest.
   TimeBreakdown estimateNest(const LoopNest &Nest) const;
 
   /// Estimates memory traffic of one nest (the memory half of
@@ -107,37 +79,8 @@ public:
   /// Estimates a whole module: the sum over its nests.
   double estimateModule(const std::vector<LoopNest> &Nests) const;
 
-  /// Schedule-cache hit/miss counters since construction (or the last
-  /// resetCacheCounters()).
-  HitMissCounters getCacheCounters() const;
-  void resetCacheCounters() const;
-
-  /// Drops every memoized entry (counters untouched).
-  void clearCache() const;
-
-  /// Maximum number of memoized schedules (LRU evicted beyond it).
-  void setCacheCapacity(size_t Capacity);
-
 private:
   MachineModel Machine;
-
-  /// Uncached pricing (the original analytical pipeline).
-  TimeBreakdown computeNest(const LoopNest &Nest) const;
-
-  /// The schedule memo: the shared StripedLruMemo building block (one
-  /// shard -- exact total-capacity LRU semantics, which the eviction
-  /// tests rely on; the CachingEvaluator in front absorbs the
-  /// cross-thread traffic striping targets). It owns its own per-shard
-  /// lock and reports under "cost_model.nest_memo" in the
-  /// CacheStatsRegistry (each instance keeps its own counts; the
-  /// registry aggregates; resetAll resets).
-  mutable StripedLruMemo<TimeBreakdown> Memo{"cost_model.nest_memo",
-                                             1u << 14, /*ShardCount=*/1};
-  /// Guards the settings (Machine, CacheCapacity) against the copy
-  /// paths; the memo's shard locks are only ever taken after (never
-  /// around) this one.
-  mutable std::mutex CacheMutex;
-  size_t CacheCapacity = 1u << 14;
 };
 
 } // namespace mlirrl

@@ -53,53 +53,6 @@ double Evaluator::timeState(ScheduleState &State) {
 // Structural hashing
 // ---------------------------------------------------------------------------
 
-uint64_t mlirrl::hashModuleStructure(const Module &M) {
-  // A direct structural walk (no string formatting on the lookup path):
-  // every field a measurement can depend on -- value shapes, loop
-  // bounds, iterator kinds, access maps, arithmetic profiles -- is
-  // folded into the key.
-  FnvHasher H(0xcbf29ce484222325ull);
-  auto Map = [&](const AffineMap &A) {
-    H.word(A.getNumDims());
-    H.word(A.getNumResults());
-    for (const AffineExpr &E : A.getResults()) {
-      for (int64_t Coeff : E.getCoeffs())
-        H.signedWord(Coeff);
-      H.signedWord(E.getConstant());
-    }
-  };
-  H.word(M.getValueOrder().size());
-  for (const std::string &Name : M.getValueOrder()) {
-    const ValueInfo &Value = M.getValue(Name);
-    H.bytes(Value.Name);
-    H.signedWord(Value.DefiningOp);
-    H.word(static_cast<uint64_t>(Value.Type.getElementType()));
-    for (int64_t Dim : Value.Type.getShape())
-      H.signedWord(Dim);
-  }
-  H.word(M.getNumOps());
-  for (const LinalgOp &Op : M.getOps()) {
-    H.bytes(Op.getResult());
-    H.word(static_cast<uint64_t>(Op.getKind()));
-    H.word(Op.getNumLoops());
-    for (int64_t Bound : Op.getLoopBounds())
-      H.signedWord(Bound);
-    for (IteratorKind Kind : Op.getIterators())
-      H.word(static_cast<uint64_t>(Kind));
-    H.word(Op.getNumInputs());
-    for (const OpOperand &In : Op.getInputs()) {
-      H.bytes(In.Value);
-      Map(In.Map);
-    }
-    Map(Op.getOutputMap());
-    const ArithCounts &Arith = Op.getArith();
-    for (int64_t Count : {Arith.Add, Arith.Sub, Arith.Mul, Arith.Div,
-                          Arith.Exp, Arith.Max})
-      H.signedWord(Count);
-  }
-  return H.finish();
-}
-
 uint64_t mlirrl::hashModuleSchedule(const ModuleSchedule &Sched) {
   FnvHasher H(0x84222325cbf29ce4ull);
   H.word(Sched.OpSchedules.size());
@@ -131,36 +84,13 @@ uint64_t mlirrl::hashModuleSchedule(const ModuleSchedule &Sched) {
 
 CachingEvaluator::CachingEvaluator(Evaluator &Inner, size_t Capacity,
                                    unsigned Shards)
-    : Inner(Inner), Program("evaluator.program_memo", Capacity, Shards),
-      PerOp("evaluator.op_memo", Capacity, Shards) {}
+    : Inner(Inner), PerOp("evaluator.op_memo", Capacity, Shards) {}
 
 double CachingEvaluator::timeNests(const std::vector<LoopNest> &Nests) {
-  FnvHasher H(0x9e3779b97f4a7c15ull);
-  H.word(Nests.size());
-  for (const LoopNest &Nest : Nests)
-    H.word(hashLoopNest(Nest));
-  return Program.memoized(H.finish(), [&] { return Inner.timeNests(Nests); });
-}
-
-double CachingEvaluator::timeModule(const Module &M,
-                                    const ModuleSchedule &Sched) {
-  FnvHasher H(0xa0761d6478bd642full);
-  H.word(hashModuleStructure(M));
-  H.word(hashModuleSchedule(Sched));
-  return Program.memoized(H.finish(),
-                          [&] { return Inner.timeModule(M, Sched); });
-}
-
-double CachingEvaluator::timeBaseline(const Module &M) {
-  FnvHasher H(0xe7037ed1a0b428dbull);
-  H.word(hashModuleStructure(M));
-  return Program.memoized(H.finish(), [&] { return Inner.timeBaseline(M); });
+  return Inner.timeNests(Nests);
 }
 
 double CachingEvaluator::priceNest(const LoopNest &Nest) {
-  // No memo of its own: the per-op table keys on schedule-state keys
-  // (cheaper than hashing the nest), and the inner cost model already
-  // memoizes by nest hash.
   return Inner.priceNest(Nest);
 }
 
@@ -172,9 +102,4 @@ double CachingEvaluator::priceDirtyOp(ScheduleState &State, unsigned OpIdx) {
   return PerOp.memoized(State.opMemoKey(OpIdx), [&] {
     return Inner.priceNest(State.getNest(OpIdx));
   });
-}
-
-void CachingEvaluator::clearCache() {
-  Program.clear();
-  PerOp.clear();
 }

@@ -26,12 +26,9 @@
 ///    (deterministic; the training default).
 ///  * Runner (perf/Runner.h) -- adds measurement noise and median-of-K
 ///    runs on top of the cost model (the paper's testbed stand-in).
-///  * CachingEvaluator -- a decorator memoizing whole-program prices in
-///    front of any inner evaluator, with thread-safe hit/miss counters,
-///    plus a per-op memo for timeState keyed by (op structural hash x
-///    op schedule hash) so entries survive across samples sharing ops.
-///    It complements the per-nest schedule memo inside CostModel: a hit
-///    here also skips materialization and per-nest hashing.
+///  * CachingEvaluator -- a decorator over any inner evaluator holding
+///    the one price memo: a per-op table behind timeState. Every other
+///    entry point reaches the inner evaluator unmemoized.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,25 +110,21 @@ private:
   CostModel Model;
 };
 
-/// Structural content hash of a module (op shapes, access maps,
-/// arithmetic) -- combined with a schedule hash it keys whole-program
-/// measurements.
-uint64_t hashModuleStructure(const Module &M);
-
 /// Structural hash of a module schedule (per-op transformation
 /// sequences and the fusion structure).
 uint64_t hashModuleSchedule(const ModuleSchedule &Sched);
 
-/// A memoizing decorator over any Evaluator. timeModule/timeBaseline
-/// hits skip the inner evaluator entirely -- including materialization
-/// -- which is what makes sharing one CachingEvaluator across all
-/// collector threads pay off (every episode re-times the baseline).
-/// timeState misses consult a second, per-op memo keyed by
-/// ScheduleState::opMemoKey: a hit prices a dirty op without
-/// materializing its nest, and the keys are content-addressed so the
-/// entries survive across episodes and across samples that share ops.
+/// A memoizing decorator over any Evaluator. timeState misses consult a
+/// per-op memo keyed by ScheduleState::opMemoKey: a hit prices a dirty
+/// op without materializing its nest, and the keys are
+/// content-addressed so the entries survive across episodes and across
+/// samples that share ops. An incremental Environment prices its
+/// baseline through timeState too, so every episode's baseline and
+/// every step's dirty op are answered from this one table. The
+/// whole-module entry points (timeNests, timeModule, timeBaseline) are
+/// the from-scratch oracle and are not memoized.
 ///
-/// Both tables are lock-striped (support/StripedLru.h): one instance is
+/// The table is lock-striped (support/StripedLru.h): one instance is
 /// meant to be shared by every collector thread and every environment
 /// of every VecEnv group, and shard-local mutexes keep that sharing off
 /// a global lock. Sharing and eviction order may differ run to run, but
@@ -144,36 +137,23 @@ uint64_t hashModuleSchedule(const ModuleSchedule &Sched);
 /// noise draw forever.
 class CachingEvaluator : public Evaluator {
 public:
-  explicit CachingEvaluator(Evaluator &Inner, size_t Capacity = 1u << 12,
+  static constexpr size_t DefaultCapacity = 1u << 12;
+
+  explicit CachingEvaluator(Evaluator &Inner,
+                            size_t Capacity = DefaultCapacity,
                             unsigned Shards = 16);
 
   double timeNests(const std::vector<LoopNest> &Nests) override;
-  double timeModule(const Module &M, const ModuleSchedule &Sched) override;
-  double timeBaseline(const Module &M) override;
   double priceNest(const LoopNest &Nest) override;
   double combineNestPrices(double SumSeconds) override;
 
-  /// Whole-program hit/miss/duplicate counters since construction (or
-  /// the last reset), aggregated over shards. Relaxed snapshot; safe to
-  /// read while collectors are running.
-  HitMissCounters getCounters() const { return Program.counters(); }
-  /// Per-op memo counters (timeState lookups).
+  /// Per-op memo hit/miss/duplicate counters since construction,
+  /// aggregated over shards. Relaxed snapshot; safe to read while
+  /// collectors are running.
   HitMissCounters getOpCounters() const { return PerOp.counters(); }
   /// Shard-lock acquisition statistics (total vs. contended), the
-  /// striping-effectiveness evidence the memo micro-bench records.
-  ContentionCounters getProgramContention() const {
-    return Program.contention();
-  }
+  /// striping-effectiveness evidence the benches record.
   ContentionCounters getOpContention() const { return PerOp.contention(); }
-  void resetCounters() {
-    Program.resetCounters();
-    PerOp.resetCounters();
-  }
-
-  unsigned shardCount() const { return Program.shardCount(); }
-
-  /// Drops every memoized entry (counters untouched).
-  void clearCache();
 
 protected:
   /// timeState hook: a per-op memo lookup keyed by
@@ -185,7 +165,6 @@ protected:
 
 private:
   Evaluator &Inner;
-  StripedLruMemo<double> Program;
   StripedLruMemo<double> PerOp;
 };
 

@@ -24,8 +24,8 @@ MlirRl::MlirRl(MlirRlOptions Options)
       // with noise on, every entry would freeze one draw, so the
       // trainer falls back to the bare Runner.
       Memo(Options.MemoizeEvaluations && !Options.Runner.Noise
-               ? std::make_unique<CachingEvaluator>(Run, Options.MemoCapacity,
-                                                    Options.MemoShards)
+               ? std::make_unique<CachingEvaluator>(
+                     Run, CachingEvaluator::DefaultCapacity, Options.MemoShards)
                : nullptr),
       Agent(Options.Env, Featurizer(Options.Env).featureSize(), Options.Net,
             Options.Seed),

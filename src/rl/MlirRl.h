@@ -42,16 +42,15 @@ struct MlirRlOptions {
 
   /// Memoize prices in one lock-striped CachingEvaluator wrapped around
   /// the Runner and shared by every collector thread and VecEnv group
-  /// (the whole-program and per-op tables of perf/Evaluator.h). On by
-  /// default; automatically disabled when Runner.Noise is set, since
-  /// caching a noisy measurement would freeze one draw forever. Values
-  /// are deterministic, so training trajectories are bitwise-identical
+  /// (the per-op table of perf/Evaluator.h, which answers every
+  /// episode's baseline and every step's dirty op). On by default;
+  /// automatically disabled when Runner.Noise is set, since caching a
+  /// noisy measurement would freeze one draw forever. Values are
+  /// deterministic, so training trajectories are bitwise-identical
   /// with the memo on or off (DeterminismMatrixTest sweeps both).
   bool MemoizeEvaluations = true;
-  /// Total entry budget of each shared memo table.
-  size_t MemoCapacity = 1u << 12;
-  /// Lock stripes per table (rounded up to a power of two; 1 = the
-  /// global-lock baseline).
+  /// Lock stripes of the memo table (rounded up to a power of two;
+  /// 1 = the global-lock baseline).
   unsigned MemoShards = 16;
 
   /// A small, fast preset for laptop-scale experiments (same

@@ -153,12 +153,12 @@ void PpoTrainer::update(PpoIterationStats &Stats) {
   double PolicyLossAcc = 0.0, ValueLossAcc = 0.0, EntropyAcc = 0.0;
   unsigned MinibatchCount = 0;
 
+  // 0 is treated as 1 (a restored checkpoint's config is not checked).
+  const size_t Minibatch = std::max(1u, Config.MinibatchSize);
   for (unsigned Epoch = 0; Epoch < Config.UpdateEpochs; ++Epoch) {
     SampleRng.shuffle(Indices);
-    for (size_t Start = 0; Start < Indices.size();
-         Start += Config.MinibatchSize) {
-      size_t End = std::min(Indices.size(),
-                            Start + static_cast<size_t>(Config.MinibatchSize));
+    for (size_t Start = 0; Start < Indices.size(); Start += Minibatch) {
+      size_t End = std::min(Indices.size(), Start + Minibatch);
       unsigned B = static_cast<unsigned>(End - Start);
 
       // Pack the minibatch; the whole forward then runs as one GEMM per

@@ -57,6 +57,7 @@ struct PpoConfig {
   double ValueCoef = 0.5;
   double EntropyCoef = 0.01;
   unsigned UpdateEpochs = 4;
+  /// Samples per update minibatch (0 is treated as 1).
   unsigned MinibatchSize = 32;
   unsigned SamplesPerIteration = 64;
   double MaxGradNorm = 0.5;

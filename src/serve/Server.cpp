@@ -12,7 +12,7 @@ using namespace mlirrl;
 
 ScheduleServer::ScheduleServer(ServeOptions Opts)
     : Options(Opts), Run(Opts.Machine, Opts.Runner),
-      Memo(Run, Opts.MemoCapacity, Opts.MemoShards),
+      Memo(Run, Opts.MemoCapacity),
       Agent(Opts.Env, Featurizer(Opts.Env).featureSize(), Opts.Net,
             Opts.Seed),
       Engine(Agent, Memo) {
@@ -125,7 +125,8 @@ void ScheduleServer::workerLoop() {
       });
       if (Stopping)
         return; // shutdown() rejects whatever is still queued
-      unsigned Take = std::min<size_t>(Queue.size(), Options.BatchWidth);
+      unsigned Take = std::min<size_t>(Queue.size(),
+                                       std::max(1u, Options.BatchWidth));
       Batch.reserve(Take);
       for (unsigned I = 0; I < Take; ++I) {
         Batch.push_back(std::move(Queue.front()));
@@ -170,7 +171,6 @@ ServeStats ScheduleServer::stats() const {
   S.RejectedQueueFull = RejectedQueueFull.load(std::memory_order_relaxed);
   S.RejectedShutdown = RejectedShutdown.load(std::memory_order_relaxed);
   S.PolicyReloads = PolicyReloads.load(std::memory_order_relaxed);
-  S.ProgramMemoHitRate = Memo.getCounters().hitRate();
   S.OpMemoHitRate = Memo.getOpCounters().hitRate();
   return S;
 }

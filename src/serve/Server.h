@@ -15,12 +15,12 @@
 /// episode group through the shared RolloutEngine -- one policy GEMM
 /// per step for the whole batch. All requests price through one
 /// lock-striped CachingEvaluator, so ops shared across requests (and
-/// repeated requests) hit the memo instead of re-pricing. Greedy
-/// rollouts draw no RNG and a request's answer never depends on which
-/// worker serves it or who shares its batch, so answers are
-/// bitwise-identical whether a module is served alone, inside a mixed
-/// batch, under concurrent clients, or at any worker count (ServeTest
-/// pins all of these).
+/// repeated requests, baselines included) hit its per-op table instead
+/// of re-pricing. Greedy rollouts draw no RNG and a request's answer
+/// never depends on which worker serves it or who shares its batch, so
+/// answers are bitwise-identical whether a module is served alone,
+/// inside a mixed batch, under concurrent clients, or at any worker
+/// count (ServeTest pins all of these).
 ///
 /// Admission is bounded: when the queue holds QueueCapacity requests,
 /// submit rejects immediately with a reason instead of queueing
@@ -67,7 +67,7 @@ struct ServeOptions {
   /// loadPolicy).
   uint64_t Seed = 1234;
   /// Requests rolled together per lockstep batch (the serving-side
-  /// analogue of the training batch width).
+  /// analogue of the training batch width; 0 is treated as 1).
   unsigned BatchWidth = 8;
   /// Worker threads draining the queue (0 is treated as 1). Each worker
   /// serves whole batches independently; the policy lock, the striped
@@ -78,9 +78,8 @@ struct ServeOptions {
   /// Admission bound: submissions beyond this many queued requests are
   /// rejected immediately with a reason (backpressure, not buffering).
   size_t QueueCapacity = 64;
-  /// Entry budget / lock stripes of the shared cross-request memo.
-  size_t MemoCapacity = 1u << 12;
-  unsigned MemoShards = 16;
+  /// Entry budget of the shared cross-request memo.
+  size_t MemoCapacity = CachingEvaluator::DefaultCapacity;
   /// Defensive cap on lockstep steps per served batch (episodes always
   /// terminate on their own; this bounds a pathological one).
   unsigned MaxEpisodeSteps = 1u << 16;
@@ -98,7 +97,7 @@ struct ServeResponse {
   uint64_t PolicyVersion = 0;
 };
 
-/// Monotone serving counters plus memo hit rates.
+/// Monotone serving counters plus the memo hit rate.
 struct ServeStats {
   uint64_t Served = 0;
   uint64_t Batches = 0;
@@ -106,9 +105,8 @@ struct ServeStats {
   uint64_t RejectedQueueFull = 0;
   uint64_t RejectedShutdown = 0;
   uint64_t PolicyReloads = 0;
-  /// Hit rates of the shared CachingEvaluator's whole-program and
-  /// per-op tables since server construction.
-  double ProgramMemoHitRate = 0.0;
+  /// Hit rate of the shared CachingEvaluator's per-op table since
+  /// server construction.
   double OpMemoHitRate = 0.0;
 };
 

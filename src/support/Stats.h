@@ -19,9 +19,9 @@
 
 namespace mlirrl {
 
-/// Hit/miss counters for memoization layers (the cost-model schedule
-/// cache and the CachingEvaluator report these; PERF.md records the
-/// training-loop hit rate). Counts are relaxed atomics so a shared cache
+/// Hit/miss counters for memoization layers (the CachingEvaluator's
+/// per-op price memo reports these; PERF.md records the training-loop
+/// hit rate). Counts are relaxed atomics so a shared cache
 /// can bump them from collector threads without a data race; copies take
 /// a relaxed snapshot, so a snapshot read concurrently with updates may
 /// mix counts from slightly different instants (fine for statistics).
@@ -120,12 +120,11 @@ struct ContentionCounters {
 };
 
 /// The one place every cache in the system reports through: the
-/// cost-model schedule memo, the CachingEvaluator's program and per-op
-/// tables and the incremental repricer all surface their HitMissCounters
-/// here, under a category name, with a single reset entry point
-/// (resetAll). Two kinds of entries coexist:
+/// CachingEvaluator's per-op price memo and the incremental repricer
+/// surface their HitMissCounters here, under a category name, with a
+/// single reset entry point (resetAll). Two kinds of entries coexist:
 ///
-///  * enrolled counters -- owned by a cache instance (each CostModel /
+///  * enrolled counters -- owned by a cache instance (each
 ///    CachingEvaluator keeps its own counts, as tests rely on), made
 ///    visible for the instance's lifetime via an RAII Enrollment;
 ///  * named counters -- owned by the registry itself, for process-wide

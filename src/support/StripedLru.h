@@ -145,27 +145,8 @@ public:
   }
 
   unsigned shardCount() const { return ShardMask + 1; }
-  size_t shardCapacity() const {
-    std::lock_guard<std::mutex> Lock(Shards.front()->Mutex);
-    return Shards.front()->Capacity;
-  }
+  size_t shardCapacity() const { return Shards.front()->Capacity; }
   size_t capacity() const { return shardCapacity() * Shards.size(); }
-
-  /// Re-divides a new total entry budget across the shards (>= 1 each)
-  /// and trims overfull shards from their LRU tails.
-  void setCapacity(size_t Capacity) {
-    size_t Total = Capacity == 0 ? 1 : Capacity;
-    size_t PerShard =
-        (Total + Shards.size() - 1) / Shards.size();
-    for (auto &S : Shards) {
-      std::lock_guard<std::mutex> Lock(S->Mutex);
-      S->Capacity = PerShard < 1 ? 1 : PerShard;
-      while (S->Order.size() > S->Capacity) {
-        S->Index.erase(S->Order.back().Key);
-        S->Order.pop_back();
-      }
-    }
-  }
 
   /// Aggregate hit/miss/duplicate snapshot over all shards (relaxed).
   HitMissCounters counters() const {
@@ -222,7 +203,7 @@ private:
     mutable std::mutex Mutex;
     std::list<Entry> Order; // MRU first
     std::unordered_map<uint64_t, typename std::list<Entry>::iterator> Index;
-    size_t Capacity; // guarded by Mutex (setCapacity can change it)
+    const size_t Capacity; // fixed at construction
     HitMissCounters HitMiss;
     ContentionCounters Locks;
     CacheStatsRegistry::Enrollment Stats;

@@ -10,6 +10,10 @@
 // must match exactly, and at the end the schedules and speedups must
 // too. Both reward modes are swept -- Immediate is the mode whose every
 // step prices the module, so it is where stale caches would surface.
+// The baselines are checked on their own as well: the incremental
+// environment prices its fresh state, the from-scratch one calls
+// timeBaseline, and the two must agree bitwise even through a noisy
+// Runner.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,11 +21,13 @@
 #include "datasets/Models.h"
 #include "env/Environment.h"
 #include "perf/Evaluator.h"
+#include "perf/Runner.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace mlirrl;
@@ -109,6 +115,16 @@ void expectSameObservation(const Observation &A, const Observation &B,
 class IncrementalEquivalenceFixture
     : public ::testing::TestWithParam<Corpus> {};
 
+/// Environment configs of the incremental / from-scratch pair.
+std::pair<EnvConfig, EnvConfig> configPair(const Corpus &Param) {
+  EnvConfig Incremental = EnvConfig::laptop();
+  Incremental.Reward = Param.Reward;
+  Incremental.Incremental = true;
+  EnvConfig FromScratch = Incremental;
+  FromScratch.Incremental = false;
+  return {Incremental, FromScratch};
+}
+
 /// The lockstep sweep itself, over any (thread-safe, deterministic)
 /// evaluator: both environments of each pair measure through \p Eval,
 /// and \p Oracle cross-checks the final schedules from scratch.
@@ -116,12 +132,7 @@ void runLockstepSweep(const Corpus &Param, Evaluator &Eval,
                       CostModelEvaluator &Oracle) {
   std::vector<Module> Corpus = Param.Build();
   ASSERT_FALSE(Corpus.empty());
-
-  EnvConfig Incremental = EnvConfig::laptop();
-  Incremental.Reward = Param.Reward;
-  Incremental.Incremental = true;
-  EnvConfig FromScratch = Incremental;
-  FromScratch.Incremental = false;
+  auto [Incremental, FromScratch] = configPair(Param);
 
   uint64_t Seed = 0x1234;
   for (const Module &M : Corpus) {
@@ -163,6 +174,22 @@ void runLockstepSweep(const Corpus &Param, Evaluator &Eval,
   }
 }
 
+/// Builds an incremental environment through \p IncEval and a
+/// from-scratch one through \p RefEval for every module of the corpus.
+/// Fresh environments have measured only their baseline, so equal
+/// measurement accounting means equal baselines.
+void expectSameBaselines(const Corpus &Param, Evaluator &IncEval,
+                         Evaluator &RefEval) {
+  auto [Incremental, FromScratch] = configPair(Param);
+  for (const Module &M : Param.Build()) {
+    Environment Inc(Incremental, IncEval, M);
+    Environment Ref(FromScratch, RefEval, M);
+    EXPECT_GT(Ref.getMeasurementSeconds(), 0.0) << M.getName();
+    EXPECT_EQ(Inc.getMeasurementSeconds(), Ref.getMeasurementSeconds())
+        << M.getName();
+  }
+}
+
 } // namespace
 
 TEST_P(IncrementalEquivalenceFixture, LockstepEpisodesMatchBitwise) {
@@ -174,16 +201,38 @@ TEST_P(IncrementalEquivalenceFixture,
        LockstepEpisodesMatchThroughSharedStripedMemo) {
   // The same sweep with both environments pricing through one shared
   // lock-striped CachingEvaluator: the incremental path answers from
-  // the per-op memo, the from-scratch path from the whole-program memo,
-  // and hit-vs-miss must never change a returned price. A fresh oracle
-  // (outside the memo) cross-checks the final schedules.
+  // the per-op memo, the from-scratch path prices through the inner
+  // evaluator, and hit-vs-miss must never change a returned price. A
+  // fresh oracle (outside the memo) cross-checks the final schedules.
   CostModelEvaluator Inner(MachineModel::xeonE5_2680v4());
   CachingEvaluator Shared(Inner, /*Capacity=*/1u << 12, /*Shards=*/8);
   CostModelEvaluator Oracle(MachineModel::xeonE5_2680v4());
   runLockstepSweep(GetParam(), Shared, Oracle);
-  // The sweep actually exercised both memo tables.
+  // The sweep actually exercised the memo.
   EXPECT_GT(Shared.getOpCounters().total(), 0u);
-  EXPECT_GT(Shared.getCounters().total(), 0u);
+}
+
+TEST_P(IncrementalEquivalenceFixture, FreshBaselinesMatchBitwise) {
+  // Through one shared memo: the incremental baseline is priced through
+  // the per-op table, the from-scratch one never is. A second pass
+  // finds every baseline op price there.
+  CostModelEvaluator Inner(MachineModel::xeonE5_2680v4());
+  CachingEvaluator Shared(Inner, /*Capacity=*/1u << 12, /*Shards=*/8);
+  expectSameBaselines(GetParam(), Shared, Shared);
+  HitMissCounters First = Shared.getOpCounters();
+  EXPECT_GT(First.total(), 0u);
+  expectSameBaselines(GetParam(), Shared, Shared);
+  HitMissCounters Second = Shared.getOpCounters();
+  EXPECT_EQ(Second.Misses.load(), First.Misses.load());
+  EXPECT_GT(Second.Hits.load(), First.Hits.load());
+
+  // Through two identically seeded noisy Runners: both baselines must
+  // draw the noise once, on the same summed model price.
+  RunnerOptions Noisy;
+  Noisy.Noise = true;
+  Runner IncRun(MachineModel::xeonE5_2680v4(), Noisy);
+  Runner RefRun(MachineModel::xeonE5_2680v4(), Noisy);
+  expectSameBaselines(GetParam(), IncRun, RefRun);
 }
 
 INSTANTIATE_TEST_SUITE_P(

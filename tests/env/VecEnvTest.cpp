@@ -159,14 +159,13 @@ TEST(VecEnvTest, CachingEvaluatorPreservesRewardsAndCounts) {
   auto Memoized = rollVectorized(Config, Agent, Cached, Samples, /*Seed=*/43);
   expectSameTraces(Plain, Memoized);
 
-  HitMissCounters Counters = Cached.getCounters();
+  HitMissCounters Counters = Cached.getOpCounters();
   EXPECT_GT(Counters.total(), 0u);
-  // Every episode re-times its module's baseline; four episodes over
-  // four distinct modules miss once each and hit at least nothing --
-  // but replaying the same batch must now hit.
+  // Every op price of the batch -- baselines included -- is now in the
+  // per-op table, so replaying the same batch only hits.
   uint64_t MissesBefore = Counters.Misses.load(std::memory_order_relaxed);
   rollVectorized(Config, Agent, Cached, Samples, /*Seed=*/43);
-  HitMissCounters After = Cached.getCounters();
+  HitMissCounters After = Cached.getOpCounters();
   EXPECT_EQ(After.Misses.load(std::memory_order_relaxed), MissesBefore);
   EXPECT_GT(After.Hits.load(std::memory_order_relaxed),
             Counters.Hits.load(std::memory_order_relaxed));

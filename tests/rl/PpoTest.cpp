@@ -4,6 +4,8 @@
 
 #include "datasets/DnnOps.h"
 
+#include "../TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace mlirrl;
@@ -51,6 +53,24 @@ TEST(PpoTest, TrainingIsSeedDeterministic) {
     EXPECT_DOUBLE_EQ(Ha[I].MeanSpeedup, Hb[I].MeanSpeedup);
   }
   EXPECT_DOUBLE_EQ(A.optimize(Data[0]), B.optimize(Data[0]));
+}
+
+TEST(PpoTest, MinibatchSizeZeroUpdatesLikeOne) {
+  // MinibatchSize 0 is treated as 1: stepping the update loop by 0
+  // would never advance it, and the iteration would never end.
+  std::vector<Module> Data = {makeMatmulModule(64, 64, 64)};
+  MlirRlOptions O = tinyOptions();
+  O.Iterations = 2;
+  O.Ppo.SamplesPerIteration = 2;
+  O.Ppo.UpdateEpochs = 1;
+  O.Ppo.MinibatchSize = 1;
+  MlirRl One(O);
+  O.Ppo.MinibatchSize = 0;
+  MlirRl Zero(O);
+
+  testutil::expectSameHistories(One.train(Data), Zero.train(Data));
+  testutil::expectSameParameters(One.agent().parameters(),
+                                 Zero.agent().parameters());
 }
 
 TEST(PpoTest, StatsArePopulated) {

@@ -21,7 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace mlirrl;
 
@@ -101,7 +104,7 @@ TEST(ServeTest, ConcurrentClientsGetBitwiseIdenticalAnswers) {
   }
   // Cross-request memoization: repeated identical modules must hit the
   // shared memo, not re-price from scratch every time.
-  EXPECT_GT(Server.stats().ProgramMemoHitRate, 0.0);
+  EXPECT_GT(Server.stats().OpMemoHitRate, 0.0);
 }
 
 TEST(ServeTest, WorkerCountNeverChangesAnswers) {
@@ -150,6 +153,41 @@ TEST(ServeTest, WorkerCountNeverChangesAnswers) {
           << "workers=" << Workers << " request " << I;
     }
     EXPECT_EQ(Server.stats().Served, Threads * PerThread);
+  }
+}
+
+TEST(ServeTest, BatchWidthZeroServesLikeWidthOne) {
+  // BatchWidth 0 is treated as 1. A zero-wide batch would drain
+  // nothing, so no future would resolve before shutdown; the bounded
+  // waits turn that into a failure instead of a hang.
+  std::vector<double> RefSpeedups;
+  std::vector<std::string> RefSchedules;
+  for (unsigned Width : {1u, 0u}) {
+    ServeOptions O = tinyServeOptions();
+    O.BatchWidth = Width;
+    ScheduleServer Server(O);
+
+    std::vector<std::future<Expected<ServeResponse>>> Futures;
+    for (const std::string &Text : {matmulText(), reluText(), matmulText()})
+      Futures.push_back(Server.submitAsync(Text));
+    for (size_t I = 0; I < Futures.size(); ++I) {
+      ASSERT_EQ(Futures[I].wait_for(std::chrono::seconds(60)),
+                std::future_status::ready)
+          << "width " << Width << " request " << I;
+      Expected<ServeResponse> R = Futures[I].get();
+      ASSERT_TRUE(R.hasValue()) << R.getError();
+      if (Width == 1) {
+        RefSpeedups.push_back(R->Speedup);
+        RefSchedules.push_back(R->Schedule.toString());
+        continue;
+      }
+      EXPECT_SAME_BITS(RefSpeedups[I], R->Speedup) << "request " << I;
+      EXPECT_EQ(RefSchedules[I], R->Schedule.toString()) << "request " << I;
+    }
+    // One request per batch at either width.
+    ServeStats S = Server.stats();
+    EXPECT_EQ(S.Served, 3u) << "width " << Width;
+    EXPECT_EQ(S.Batches, 3u) << "width " << Width;
   }
 }
 

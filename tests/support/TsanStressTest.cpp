@@ -76,13 +76,11 @@ TEST(TsanStressTest, StripedLruEvictionHammer) {
       }
     });
 
-  // Maintenance churn racing the lookups: capacity re-splits, full
-  // clears and counter snapshots, all of which walk every shard.
+  // Maintenance churn racing the lookups: full clears and counter
+  // snapshots, all of which walk every shard.
   std::atomic<bool> Stop{false};
   std::thread Maintenance([&] {
-    size_t Flip = 0;
     while (!Stop.load(std::memory_order_relaxed)) {
-      Memo.setCapacity(++Flip % 2 == 0 ? 16 : 64);
       Memo.clear();
       (void)Memo.size();
       (void)Memo.counters();
@@ -96,9 +94,9 @@ TEST(TsanStressTest, StripedLruEvictionHammer) {
   Maintenance.join();
 
   EXPECT_EQ(WrongValues.load(), 0u);
-  // The race-exact accounting identity must survive eviction, clears
-  // and capacity changes: every lookup is exactly one of hit, miss or
-  // discarded duplicate.
+  // The race-exact accounting identity must survive eviction and
+  // clears: every lookup is exactly one of hit, miss or discarded
+  // duplicate.
   HitMissCounters Totals = Memo.counters();
   EXPECT_EQ(Totals.Hits.load() + Totals.Misses.load() +
                 Totals.Duplicates.load(),

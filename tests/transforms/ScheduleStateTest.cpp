@@ -145,6 +145,8 @@ TEST_F(ChainFixture, FusionInvalidationForbidsStaleNestReuse) {
   ScheduleState State(M);
   double Before = Eval.timeState(State);
   EXPECT_EQ(Before, Eval.timeModule(M, State.getSchedule()));
+  // A fresh state prices as the unscheduled baseline.
+  EXPECT_EQ(Before, Eval.timeBaseline(M));
 
   // Warm every per-op cache, then fuse.
   for (unsigned OpIdx : State.liveOps()) {
@@ -186,4 +188,30 @@ TEST_F(ChainFixture, RunnerIncrementalMatchesWholeModule) {
   ScheduleState State(M);
   State.apply(2, Transformation::tiling({4, 4}));
   EXPECT_EQ(Run.timeState(State), Run.timeModule(M, State.getSchedule()));
+}
+
+TEST(ScheduleStateHashTest, DifferentSchedulesHashApart) {
+  // hashLoopNest feeds every nest comparison above: nests materialized
+  // under different schedules of one op must never share a hash.
+  Module MM{"mm"};
+  Builder B(MM);
+  std::string A = B.declareInput({256, 256});
+  std::string Bv = B.declareInput({256, 256});
+  B.matmul(A, Bv);
+  auto HashWith = [&](Transformation T) {
+    OpSchedule Sched;
+    Sched.Transforms.push_back(std::move(T));
+    return hashLoopNest(materializeLoopNest(MM, 0, Sched));
+  };
+
+  uint64_t H1 = HashWith(Transformation::tiling({8, 8, 8}));
+  uint64_t H2 = HashWith(Transformation::tiling({32, 32, 32}));
+  uint64_t H3 = HashWith(Transformation::interchange({2, 0, 1}));
+  uint64_t H4 = HashWith(Transformation::tiledParallelization({32, 32, 0}));
+  EXPECT_NE(H1, H2);
+  EXPECT_NE(H1, H3);
+  EXPECT_NE(H2, H3);
+  EXPECT_NE(H2, H4);
+  // Re-materializing the same schedule hashes the same.
+  EXPECT_EQ(H1, HashWith(Transformation::tiling({8, 8, 8})));
 }

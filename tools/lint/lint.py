@@ -288,7 +288,7 @@ def rule_raw_rng(ctx):
 # Registration sites: the category argument of CacheStatsRegistry::named,
 # of an Enrollment, of a StripedLruMemo construction, or of the
 # member-init of a member declared as StripedLruMemo anywhere in src/
-# (Evaluator's `Program("evaluator.program_memo", ...)` idiom).
+# (CachingEvaluator's `PerOp("evaluator.op_memo", ...)` idiom).
 CATEGORY_LITERAL = re.compile(r"^[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+$")
 MEMO_MEMBER_DECL = re.compile(r"\bStripedLruMemo<[^;>]*>\s+(\w+)")
 
