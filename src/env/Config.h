@@ -76,8 +76,10 @@ struct EnvConfig {
   /// on every candidate action before committing it: a schedule the
   /// checks reject becomes a penalized no-op instead of corrupt state or
   /// an abort. On legal actions the checks never fire, so trajectories
-  /// are bitwise-identical with the flag off; the per-step cost is one
-  /// extra candidate materialization (measured in PERF.md).
+  /// are bitwise-identical with the flag off. The per-step cost is one
+  /// from-scratch replay and candidate materialization of the acted-on
+  /// op; a passing check formats no message. PERF.md's "DESIGN:
+  /// always-on post-transform checks" note measures it.
   bool PostTransformChecks = true;
 
   /// Reward subtracted when a post-transform check rejects an action

@@ -152,34 +152,45 @@ std::vector<double> Featurizer::featurizeStatic(const Module &M,
 void Featurizer::appendHistory(const ActionHistory &History,
                                std::vector<double> &Out) const {
   // 6) Action history: tau x N x M tiled slab, then tau x N x N
-  // interchange slab (Appendix A).
-  unsigned N = Config.MaxLoops;
-  unsigned Tau = Config.MaxScheduleLength;
-  unsigned MSizes = Config.NumTileSizes;
-  for (unsigned T = 0; T < Tau; ++T) {
-    const ActionHistory::Entry *E =
-        T < History.Entries.size() ? &History.Entries[T] : nullptr;
-    bool Tiled = E && E->Used &&
-                 (E->Kind == TransformKind::Tiling ||
-                  E->Kind == TransformKind::TiledParallelization ||
-                  E->Kind == TransformKind::TiledFusion);
-    for (unsigned L = 0; L < N; ++L)
-      for (unsigned S = 0; S < MSizes; ++S) {
-        bool On = Tiled && L < E->TileSizeIdx.size() &&
-                  E->TileSizeIdx[L] == S;
-        Out.push_back(On ? 1.0 : 0.0);
+  // interchange slab (Appendix A). Each (step, row) holds at most one
+  // hot entry, so grow Out once with zeros and set only the hot ones.
+  const size_t N = Config.MaxLoops;
+  const size_t Tau = Config.MaxScheduleLength;
+  const size_t MSizes = Config.NumTileSizes;
+  const size_t TiledBase = Out.size();
+  const size_t InterchangeBase = TiledBase + Tau * N * MSizes;
+  Out.resize(InterchangeBase + Tau * N * N, 0.0);
+  const size_t Steps = std::min(Tau, History.Entries.size());
+  for (size_t T = 0; T < Steps; ++T) {
+    const ActionHistory::Entry &E = History.Entries[T];
+    if (!E.Used)
+      continue;
+    switch (E.Kind) {
+    case TransformKind::Tiling:
+    case TransformKind::TiledParallelization:
+    case TransformKind::TiledFusion: {
+      double *Slab = Out.data() + TiledBase + T * N * MSizes;
+      const size_t Levels = std::min(N, E.TileSizeIdx.size());
+      for (size_t L = 0; L < Levels; ++L)
+        if (E.TileSizeIdx[L] < MSizes)
+          Slab[L * MSizes + E.TileSizeIdx[L]] = 1.0;
+      break;
+    }
+    case TransformKind::Interchange: {
+      double *Slab = Out.data() + InterchangeBase + T * N * N;
+      const size_t Positions = std::min(N, E.Placement.size());
+      for (size_t Pos = 0; Pos < Positions; ++Pos) {
+        // A pending position holds -1 and stays all-zero.
+        const int Loop = E.Placement[Pos];
+        if (Loop >= 0 && static_cast<size_t>(Loop) < N)
+          Slab[Pos * N + static_cast<size_t>(Loop)] = 1.0;
       }
-  }
-  for (unsigned T = 0; T < Tau; ++T) {
-    const ActionHistory::Entry *E =
-        T < History.Entries.size() ? &History.Entries[T] : nullptr;
-    bool Inter = E && E->Used && E->Kind == TransformKind::Interchange;
-    for (unsigned Pos = 0; Pos < N; ++Pos)
-      for (unsigned Loop = 0; Loop < N; ++Loop) {
-        bool On = Inter && Pos < E->Placement.size() &&
-                  E->Placement[Pos] == static_cast<int>(Loop);
-        Out.push_back(On ? 1.0 : 0.0);
-      }
+      break;
+    }
+    case TransformKind::Vectorization:
+    case TransformKind::NoTransformation:
+      break;
+    }
   }
 }
 

@@ -11,10 +11,11 @@
 /// as corrupted pricing three steps later.
 ///
 /// All predicates follow the Verifier idiom: false + ErrorMessage on
-/// violation, never a fatal. The environment runs checkCandidateAction
-/// before committing an action (behind EnvConfig::PostTransformChecks);
-/// tests and the fuzz harness run verifyScheduleState unconditionally
-/// after every step.
+/// violation, never a fatal. A predicate formats a message only for the
+/// first violation it finds, so a passing check builds no string. The
+/// environment runs checkCandidateAction before committing an action
+/// (behind EnvConfig::PostTransformChecks); tests and the fuzz harness
+/// run verifyScheduleState unconditionally after every step.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,10 +3,13 @@
 #include "env/Featurizer.h"
 
 #include "ir/Builder.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 using namespace mlirrl;
 
@@ -25,6 +28,60 @@ struct FeaturizerFixture : ::testing::Test {
     return M.getNumOps() - 1;
   }
 };
+
+/// The dense one-hot history loop, element by element: the reference
+/// appendHistory must reproduce bit for bit.
+void appendHistoryDense(const EnvConfig &Config, const ActionHistory &History,
+                        std::vector<double> &Out) {
+  unsigned N = Config.MaxLoops;
+  unsigned Tau = Config.MaxScheduleLength;
+  unsigned MSizes = Config.NumTileSizes;
+  for (unsigned T = 0; T < Tau; ++T) {
+    const ActionHistory::Entry *E =
+        T < History.Entries.size() ? &History.Entries[T] : nullptr;
+    bool Tiled = E && E->Used &&
+                 (E->Kind == TransformKind::Tiling ||
+                  E->Kind == TransformKind::TiledParallelization ||
+                  E->Kind == TransformKind::TiledFusion);
+    for (unsigned L = 0; L < N; ++L)
+      for (unsigned S = 0; S < MSizes; ++S) {
+        bool On = Tiled && L < E->TileSizeIdx.size() &&
+                  E->TileSizeIdx[L] == S;
+        Out.push_back(On ? 1.0 : 0.0);
+      }
+  }
+  for (unsigned T = 0; T < Tau; ++T) {
+    const ActionHistory::Entry *E =
+        T < History.Entries.size() ? &History.Entries[T] : nullptr;
+    bool Inter = E && E->Used && E->Kind == TransformKind::Interchange;
+    for (unsigned Pos = 0; Pos < N; ++Pos)
+      for (unsigned Loop = 0; Loop < N; ++Loop) {
+        bool On = Inter && Pos < E->Placement.size() &&
+                  E->Placement[Pos] == static_cast<int>(Loop);
+        Out.push_back(On ? 1.0 : 0.0);
+      }
+  }
+}
+
+/// A history with every field drawn independently of the entry's kind:
+/// unused entries, stale TileSizeIdx on vectorization and no-op entries,
+/// pending (-1) and out-of-range placements, indices >= NumTileSizes,
+/// vectors longer than N, and more entries than tau.
+ActionHistory randomHistory(Rng &R, const EnvConfig &Config) {
+  ActionHistory H;
+  H.Entries.resize(R.nextBounded(Config.MaxScheduleLength + 3));
+  for (ActionHistory::Entry &E : H.Entries) {
+    E.Kind = static_cast<TransformKind>(R.nextBounded(NumTransformKinds));
+    E.Used = R.nextBounded(4) != 0;
+    E.TileSizeIdx.resize(R.nextBounded(Config.MaxLoops + 3));
+    for (unsigned &Idx : E.TileSizeIdx)
+      Idx = static_cast<unsigned>(R.nextBounded(Config.NumTileSizes + 2));
+    E.Placement.resize(R.nextBounded(Config.MaxLoops + 3));
+    for (int &Loop : E.Placement)
+      Loop = static_cast<int>(R.nextBounded(Config.MaxLoops + 3)) - 1;
+  }
+  return H;
+}
 
 } // namespace
 
@@ -139,4 +196,31 @@ TEST_F(FeaturizerFixture, ZeroVectorForMissingProducer) {
   EXPECT_EQ(Z.size(), Feat.featureSize());
   for (double V : Z)
     EXPECT_DOUBLE_EQ(V, 0.0);
+}
+
+TEST(FeaturizerHistory, MatchesDenseLoopBitwise) {
+  for (const EnvConfig &Config : {EnvConfig::laptop(), EnvConfig()}) {
+    Featurizer Feat(Config);
+    Module M("m");
+    Builder B(M);
+    B.matmul(B.declareInput({64, 32}), B.declareInput({32, 16}));
+    const std::vector<double> Prefix = Feat.featurizeStatic(M, M.getOp(0));
+    ASSERT_FALSE(Prefix.empty());
+
+    Rng R(Config.MaxLoops);
+    for (unsigned Trial = 0; Trial < 500; ++Trial) {
+      ActionHistory H = Trial == 0 ? ActionHistory() : randomHistory(R, Config);
+      std::vector<double> Expected = Prefix;
+      appendHistoryDense(Config, H, Expected);
+      std::vector<double> Got = Prefix;
+      Feat.appendHistory(H, Got);
+      ASSERT_EQ(Got.size(), Feat.featureSize());
+      ASSERT_EQ(Got.size(), Expected.size());
+      for (size_t I = 0; I < Got.size(); ++I)
+        ASSERT_EQ(std::bit_cast<uint64_t>(Got[I]),
+                  std::bit_cast<uint64_t>(Expected[I]))
+            << "MaxLoops " << Config.MaxLoops << ", trial " << Trial
+            << ": first difference at element " << I;
+    }
+  }
 }

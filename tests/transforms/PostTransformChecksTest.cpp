@@ -39,6 +39,19 @@ OpSchedule schedOf(std::initializer_list<Transformation> Ts) {
   return S;
 }
 
+/// A relu whose loop bounds {4, 16} overrun its {4, 8} input: the
+/// module stays well-formed, but IR verification rejects the access.
+Module overrunningRelu() {
+  Module M("overrun");
+  Builder B(M);
+  B.relu(B.declareInput({4, 8}));
+  const LinalgOp &Op = M.getOp(0);
+  M.replaceOp(0, LinalgOp(Op.getResult(), Op.getKind(), {4, 16},
+                          Op.getIterators(), Op.getInputs(),
+                          Op.getOutputMap(), Op.getArith()));
+  return M;
+}
+
 } // namespace
 
 TEST_F(ChainFixture, LegalStatesPass) {
@@ -70,7 +83,8 @@ TEST_F(ChainFixture, IllegalReplaySequenceRejected) {
       schedOf({Transformation::vectorization(),
                Transformation::tiling({8, 8, 0})}),
       Err));
-  EXPECT_FALSE(Err.empty());
+  EXPECT_EQ(Err, "schedule does not replay: illegal schedule for %v2: "
+                 "operation already vectorized (terminal)");
 }
 
 TEST_F(ChainFixture, BadPermutationArityRejected) {
@@ -117,6 +131,8 @@ TEST_F(ChainFixture, TamperedNestRejected) {
     ASSERT_FALSE(Bad.OuterBand.empty());
     Bad.OuterBand[0].TripCount += 1;
     EXPECT_FALSE(checkLoopNest(M, 0, Sched, Bad, Err));
+    EXPECT_EQ(Err,
+              "tile loop (dim 0, trip 9, step 8) trip is not ceil(64 / 8)");
   }
   {
     // Mark a reduction loop parallel.
@@ -137,7 +153,76 @@ TEST_F(ChainFixture, TamperedNestRejected) {
     ASSERT_GE(Bad.Bodies.back().Loops.size(), 2u);
     Bad.Bodies.back().Loops.front().Vectorized = true;
     EXPECT_FALSE(checkLoopNest(M, 0, Sched, Bad, Err));
+    EXPECT_EQ(Err, "vectorized loop of %v2 is not innermost");
   }
+  {
+    // Demote an outer-band tile loop.
+    LoopNest Bad = *Nest;
+    Bad.OuterBand[0].IsTileLoop = false;
+    EXPECT_FALSE(checkLoopNest(M, 0, Sched, Bad, Err));
+    EXPECT_EQ(Err,
+              "outer-band loop (dim 0, trip 8, step 8) is not a tile loop");
+  }
+  {
+    // Give a consumer point loop a non-unit step.
+    LoopNest Bad = *Nest;
+    Bad.Bodies.back().Loops.front().Step = 2;
+    EXPECT_FALSE(checkLoopNest(M, 0, Sched, Bad, Err));
+    EXPECT_EQ(Err, "consumer loop (dim 0, trip 8, step 2) point step is not 1");
+  }
+  {
+    // Two violations: only the first one checked is reported.
+    LoopNest Bad = *Nest;
+    Bad.OuterBand[0].TripCount += 1;
+    Bad.Bodies.back().Loops.front().Vectorized = true;
+    EXPECT_FALSE(checkLoopNest(M, 0, Sched, Bad, Err));
+    EXPECT_EQ(Err,
+              "tile loop (dim 0, trip 9, step 8) trip is not ceil(64 / 8)");
+  }
+}
+
+TEST_F(ChainFixture, TamperedFusedBodyRejected) {
+  OpSchedule Fused = schedOf({Transformation::tiledFusion({8, 0})});
+  Fused.FusedProducers = {0};
+  Expected<LoopNest> Nest = materializeLoopNestChecked(M, 1, Fused);
+  ASSERT_TRUE(static_cast<bool>(Nest)) << Nest.getError();
+  std::string Err;
+  ASSERT_TRUE(checkLoopNest(M, 1, Fused, *Nest, Err)) << Err;
+
+  LoopNest Bad = *Nest;
+  Bad.Bodies.front().Loops.front().TripCount = 100;
+  EXPECT_FALSE(checkLoopNest(M, 1, Fused, Bad, Err));
+  EXPECT_EQ(Err, "fused %v2 loop (dim 0, trip 100, step 1) trip outside the "
+                 "producer's bound 64");
+}
+
+TEST_F(ChainFixture, CorruptTransformStateRejected) {
+  // The engine never produces these states; corrupt them in place.
+  {
+    OpTransformState S(M.getOp(0));
+    const_cast<std::vector<unsigned> &>(S.getOrder()) = {0, 0, 2};
+    std::string Err;
+    EXPECT_FALSE(checkTransformState(S, Err));
+    EXPECT_EQ(Err, "loop order of %v2 is not a permutation");
+  }
+  {
+    OpTransformState S(M.getOp(0));
+    ASSERT_TRUE(S.apply(Transformation::tiling({8, 8, 0})).Applied);
+    const_cast<std::vector<OpTransformState::Band> &>(S.getBands())[0]
+        .TileByDim[0] = 128;
+    std::string Err;
+    EXPECT_FALSE(checkTransformState(S, Err));
+    EXPECT_EQ(Err, "band 0 of %v2: tile size 128 on dim 0 does not refine "
+                   "extent 64");
+  }
+}
+
+TEST_F(ChainFixture, ProducerListedTwiceRejected) {
+  OpSchedule Fused = schedOf({Transformation::tiledFusion({8, 0})});
+  Fused.FusedProducers = {0, 0};
+  std::string Err;
+  EXPECT_FALSE(checkCandidateAction(M, 1, Fused, Err));
+  EXPECT_EQ(Err, "fused producer 0 listed twice");
 }
 
 TEST_F(ChainFixture, CleanScheduleStateVerifies) {
@@ -156,7 +241,41 @@ TEST_F(ChainFixture, CorruptFusedAwayBookkeepingRejected) {
   const_cast<ModuleSchedule &>(State.getSchedule()).FusedAway.push_back(0);
   std::string Err;
   EXPECT_FALSE(verifyScheduleState(State, Err));
-  EXPECT_FALSE(Err.empty());
+  EXPECT_EQ(Err, "fused-away op 0 is still live");
+
+  // A legal fusion whose consumer then drops its claim on the producer.
+  ScheduleState Fused(M);
+  Fused.apply(1, Transformation::tiledFusion({8, 0}), 0);
+  const_cast<ModuleSchedule &>(Fused.getSchedule())
+      .OpSchedules[1]
+      .FusedProducers.clear();
+  EXPECT_FALSE(verifyScheduleState(Fused, Err));
+  EXPECT_EQ(Err, "fused-away op 0 claimed by 0 live groups");
+}
+
+TEST_F(ChainFixture, StaleCachedNestRejected) {
+  ScheduleState State(M);
+  State.getNest(0);
+  // Change the committed schedule behind the cache's back.
+  const_cast<ModuleSchedule &>(State.getSchedule()).OpSchedules[0] =
+      schedOf({Transformation::tiling({8, 8, 0})});
+  std::string Err;
+  EXPECT_FALSE(verifyScheduleState(State, Err));
+  EXPECT_EQ(Err, "cached nest of op 0 is stale (differs from a fresh "
+                 "materialization)");
+}
+
+TEST(PostTransformChecks, VerificationFailureKeepsVerifierReason) {
+  Module M = overrunningRelu();
+  std::string Err;
+  EXPECT_FALSE(checkCandidateAction(M, 0, OpSchedule(), Err));
+  EXPECT_EQ(Err, "op fails IR verification: %v1: access %arg0 dim 1 covers "
+                 "[0, 15] outside [0, 8)");
+
+  ScheduleState State(M);
+  EXPECT_FALSE(verifyScheduleState(State, Err));
+  EXPECT_EQ(Err, "module fails IR verification: %v1: access %arg0 dim 1 "
+                 "covers [0, 15] outside [0, 8)");
 }
 
 TEST_F(ChainFixture, OversizedVectorizationRejected) {
