@@ -1,26 +1,23 @@
 //===- bench_trainstep.cpp - Training-core throughput ------------------------===//
 //
 // The perf trajectory of the training core: ns per PPO train iteration
-// (episode collection + updates), blocked-matmul GFLOP/s forward and
-// through the backward products, and the per-op price memo's hit rate
-// during training. scripts/bench_json.sh runs this binary with
-// google-benchmark's JSON writer to produce BENCH_trainstep.json, the
-// cross-PR comparison artifact.
+// (episode collection + updates) and the per-op price memo's hit rate
+// during training; bench_gemm measures the GEMM kernels' GFLOP/s.
+// scripts/bench_json.sh runs this binary with google-benchmark's JSON
+// writer to produce BENCH_trainstep.json, the cross-PR comparison
+// artifact.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "datasets/Sequences.h"
 #include "env/Environment.h"
-#include "nn/Gemm.h"
-#include "nn/Ops.h"
 #include "support/Rng.h"
 
 #include <benchmark/benchmark.h>
 
 using namespace mlirrl;
 using namespace mlirrl::bench;
-using namespace mlirrl::nn;
 
 namespace {
 
@@ -221,70 +218,6 @@ void BM_TrainIterationUpdateThreads(benchmark::State &State) {
   }
 }
 
-/// Forward blocked matmul at a square compute-bound size.
-void BM_MatmulForward(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  Rng R(7);
-  std::vector<double> Ad(static_cast<size_t>(N) * N), Bd(Ad.size());
-  for (double &V : Ad)
-    V = R.nextDouble(-1, 1);
-  for (double &V : Bd)
-    V = R.nextDouble(-1, 1);
-  Tensor A = Tensor::fromData(N, N, Ad);
-  Tensor B = Tensor::fromData(N, N, Bd);
-  for (auto _ : State) {
-    Tensor C = matmul(A, B);
-    benchmark::DoNotOptimize(C.data().data());
-  }
-  State.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * N * N * N * static_cast<double>(State.iterations()) * 1e-9,
-      benchmark::Counter::kIsRate);
-}
-
-/// The float inference counterpart of BM_MatmulForward: the same
-/// N x N x N product on the float gemmAccNN entry (the kernel the
-/// packed f32 policy nets run on). The ratio against BM_MatmulForward
-/// is the raw dtype speedup behind MlirRlOptions::Inference = F32.
-void BM_MatmulForwardF32(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  Rng R(7);
-  std::vector<float> Af(static_cast<size_t>(N) * N), Bf(Af.size());
-  for (float &V : Af)
-    V = static_cast<float>(R.nextDouble(-1, 1));
-  for (float &V : Bf)
-    V = static_cast<float>(R.nextDouble(-1, 1));
-  std::vector<float> C(Af.size(), 0.0f);
-  for (auto _ : State) {
-    gemmAccNN(N, N, N, Af.data(), N, Bf.data(), N, C.data(), N);
-    benchmark::DoNotOptimize(C.data());
-  }
-  State.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * N * N * N * static_cast<double>(State.iterations()) * 1e-9,
-      benchmark::Counter::kIsRate);
-}
-
-/// Forward + both backward products through autograd (the PPO update
-/// path: dA = dC.B^T and dB = A^T.dC also run on the blocked kernels).
-void BM_MatmulForwardBackward(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  Rng R(8);
-  std::vector<double> Ad(static_cast<size_t>(N) * N), Bd(Ad.size());
-  for (double &V : Ad)
-    V = R.nextDouble(-1, 1);
-  for (double &V : Bd)
-    V = R.nextDouble(-1, 1);
-  for (auto _ : State) {
-    Tensor A = Tensor::parameter(N, N, Ad);
-    Tensor B = Tensor::parameter(N, N, Bd);
-    Tensor Loss = sumAll(matmul(A, B));
-    Loss.backward();
-    benchmark::DoNotOptimize(A.grad().data());
-  }
-  State.counters["GFLOPS"] = benchmark::Counter(
-      6.0 * N * N * N * static_cast<double>(State.iterations()) * 1e-9,
-      benchmark::Counter::kIsRate);
-}
-
 } // namespace
 
 BENCHMARK(BM_TrainIteration)->Unit(benchmark::kMillisecond);
@@ -318,10 +251,4 @@ BENCHMARK(BM_TrainIterationUpdateThreads)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatmulForward)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MatmulForwardF32)
-    ->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MatmulForwardBackward)
-    ->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK_MAIN();

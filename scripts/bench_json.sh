@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Emits BENCH_trainstep.json: ns-per-train-iteration (and the matmul /
-# cache counters) from bench_trainstep, as a machine-readable perf
-# trajectory for future PRs to compare against.
+# Emits BENCH_trainstep.json: ns-per-train-iteration (and the cache
+# counters) from bench_trainstep, as a machine-readable perf trajectory
+# for future PRs to compare against. GEMM GFLOP/s come from --gemm.
 #
 # Usage: scripts/bench_json.sh [--threads|--memo|--gemm|--serve] [build-dir] [output.json]
 #

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: lint, configure, build, run the test suite, and
-# guard against build artifacts ever being committed again (PR 1
-# accidentally committed the CMake cache and object files).
+# Tier-1 verification: lint, configure, build, run the test suite, smoke
+# the examples and the benchmark, and guard against build artifacts ever
+# being committed again (PR 1 accidentally committed the CMake cache and
+# object files).
 #
 #   scripts/ci.sh                    # the regular tier-1 gate
 #   scripts/ci.sh --sanitize=address # + ASan/UBSan tree in build-san/
@@ -121,6 +122,23 @@ fi
 # (clean immediate rejection, never a hang). Scratch checkpoint lives
 # under build/ and is removed on exit.
 ./build/example_serve_smoke --requests 8 --ckpt build/serve_smoke.ckpt
+
+# --- Benchmark smoke ------------------------------------------------------
+# ctest never compiles perfbench/, so a src/ API change that breaks the
+# benchmark's build would pass the suite. Build it in its own tree under
+# build/ (its own CMake cache) and run every workload for one traced
+# second. Each result line must read "correct": true; for train_ops that
+# includes its public-call replay reproducing trainIteration's losses
+# bitwise.
+for workload in train_ops serve_repeat env_fresh; do
+  result=$(CARGO_TARGET_DIR=build/perfbench-ci python3 perfbench/run.py \
+             --workload "$workload" --seed 1 --seconds 1 --trace 1 |
+           tail -n 1) || true
+  if [[ "$result" != *'"correct": true'* ]]; then
+    echo "error: perfbench $workload smoke failed: $result" >&2
+    exit 1
+  fi
+done
 
 # --- ASan/UBSan pass (opt-in: --sanitize[=address]) -----------------------
 # A second tree under ASan+UBSan: the whole test suite plus a reduced

@@ -1,19 +1,20 @@
 //===- Gemm.h - Blocked dense matrix kernels ---------------------*- C++-*-===//
 ///
 /// \file
-/// Cache-blocked, register-tiled GEMM kernels over raw row-major buffers,
-/// shared by the autograd matmul (forward and both backward products) and
-/// the fused linear layer. All kernels *accumulate* into C (C += ...),
+/// Cache-blocked, register-tiled GEMM kernels over raw row-major buffers:
+/// the dense layers' forward products (nn/Inference.h) and both backward
+/// products (nn/Backward.h). All kernels *accumulate* into C (C += ...),
 /// which is exactly the contract gradient accumulation needs; forward
-/// callers start from a zeroed buffer.
+/// callers start from a zeroed or bias-filled buffer.
 ///
 /// Operands are plain pointers with explicit leading dimensions so the
-/// kernels run directly on TensorNode::Data / TensorNode::Grad without
-/// per-element at(i,j) indexing or temporary transposed copies.
+/// kernels run directly on activation matrices and parameter gradient
+/// buffers without per-element at(i,j) indexing or temporary transposed
+/// copies.
 ///
 /// The NN product exists for double (training) and float (the float
-/// instantiation of the graph-free forward, nn/Inference.h); NT and TN
-/// carry only the backward pass, which is double. The double kernels
+/// instantiation of the forward, nn/Inference.h); NT and TN carry only
+/// the backward pass, which is double. The double kernels
 /// are bitwise-stable: every element's accumulation order is fixed,
 /// whatever the pool size or call shape. Each layout has one production
 /// path (nn/Gemm.cpp): NT always runs a transpose-packed SIMD kernel,

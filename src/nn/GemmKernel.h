@@ -4,7 +4,7 @@
 /// The dtype-generic kernel layer under nn/Gemm.h: cache-blocked,
 /// register-tiled accumulate kernels templated on the element type,
 /// instantiated for double (training; bitwise-stable) and float (the
-/// float instantiation of the graph-free forward, nn/Inference.h).
+/// float instantiation of the forward, nn/Inference.h).
 ///
 /// The NN (C += A.B) and packed NT (C += A.B^T) products run explicitly
 /// SIMD micro-kernels built on GNU vector extensions (32-byte generic

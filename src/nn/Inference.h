@@ -1,17 +1,19 @@
-//===- Inference.h - Graph-free forward pass, templated on dtype -*- C++-*-===//
+//===- Inference.h - The network forward, templated on dtype -----*- C++-*-===//
 ///
 /// \file
-/// The rollout forward pass, written once for T in {double, float}: plain
-/// row-major matrices on 64-byte-aligned buffers, weights read through
-/// pointers, no graph nodes. Every call owns its buffers, so collector
-/// threads and server workers run it concurrently. Autograd (nn/Ops.h)
-/// stays for the PPO update only.
+/// The networks' one forward pass, written once for T in {double, float}:
+/// plain row-major matrices on 64-byte-aligned buffers, weights read
+/// through pointers, no graph nodes. Every call owns its buffers, so
+/// collector threads and server workers run it concurrently.
 ///
-/// The double instantiation is bitwise the autograd forward: the
-/// autograd ops take their forward values from the same linearInto,
-/// linearSplitSparseInto, forwardProduct and logSoftmaxRow, and every
-/// elementwise step keeps the expression and rounding order of its
-/// autograd node.
+/// Rollouts, greedy serving and the baselines run it as is. The PPO
+/// update runs the same double instantiation with a tape: lstmForward
+/// and mlpForward then also record the activations the explicit
+/// backward of nn/Backward.h reads. A dense layer's only saved
+/// activation is its input, which its caller holds, so linearForward
+/// records nothing. So the log-probabilities and values a rollout stores
+/// are bitwise what the update recomputes before any parameter changes.
+///
 /// The float instantiation runs the float GEMM kernels and tracks the
 /// double one to float relative error (tests/rl/InferenceF32Test).
 ///
@@ -21,7 +23,7 @@
 #define MLIRRL_NN_INFERENCE_H
 
 #include "nn/Gemm.h"
-#include "nn/Ops.h"
+#include "nn/Tensor.h"
 #include "support/AlignedAlloc.h"
 #include "support/Rng.h"
 
@@ -40,8 +42,38 @@ inline constexpr double MaskedLogit = -1e30;
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T, BufferAlignment>>;
 
-/// The scalar activations, shared with the autograd sigmoidOp and relu
-/// nodes so the two forwards cannot drift apart.
+/// A batch of mostly-zero feature rows in compressed form: only the
+/// nonzero (column, value) pairs, ascending per row. Observation
+/// feature vectors are ~97% zeros (masking and padding), so compressing
+/// once per batch replaces the per-gate scans over the dense width.
+struct SparseRows {
+  struct Entry {
+    unsigned Col = 0;
+    double Value = 0.0;
+  };
+  unsigned Rows = 0;
+  unsigned Cols = 0;
+  std::vector<std::vector<Entry>> RowEntries;
+
+  /// Compresses one row per source vector (all the same length).
+  static SparseRows
+  fromRows(const std::vector<const std::vector<double> *> &Sources) {
+    SparseRows X;
+    X.Rows = static_cast<unsigned>(Sources.size());
+    X.Cols = Sources.empty() ? 0 : static_cast<unsigned>(Sources[0]->size());
+    X.RowEntries.resize(X.Rows);
+    for (unsigned I = 0; I < X.Rows; ++I) {
+      const std::vector<double> &Row = *Sources[I];
+      assert(Row.size() == X.Cols && "ragged sparse batch");
+      for (unsigned J = 0; J < X.Cols; ++J)
+        if (Row[J] != 0.0)
+          X.RowEntries[I].push_back({J, Row[J]});
+    }
+    return X;
+  }
+};
+
+/// The scalar activations.
 template <typename T> T sigmoidValue(T X) {
   return T(1) / (T(1) + std::exp(-X));
 }
@@ -141,8 +173,7 @@ void forwardProduct(unsigned M, unsigned N, unsigned K, const T *A, const T *B,
   gemmAccNN(M, N, K, A, K, B, N, C, N);
 }
 
-/// Y(M x Out) = X(M x In) . W + bias, written into \p Y (nn::linear
-/// computes its forward values here).
+/// Y(M x Out) = X(M x In) . W + bias, written into \p Y.
 template <typename T>
 void linearInto(unsigned M, const T *X, const LinearWeights<T> &L, T *Y) {
   for (unsigned R = 0; R < M; ++R)
@@ -151,9 +182,10 @@ void linearInto(unsigned M, const T *X, const LinearWeights<T> &L, T *Y) {
 }
 
 /// Y = [X, H] . W + bias with X in compressed sparse form and H the
-/// dense X.Rows x (In - X.Cols) rest, written into \p Y
-/// (nn::linearSplitSparse computes its forward values here). The
-/// nonzero X columns accumulate k ascending, then the H rows of W.
+/// dense X.Rows x (In - X.Cols) rest, written into \p Y: an LSTM gate
+/// over [x, h] without materializing the concatenation. The nonzero X
+/// columns accumulate k ascending, then the H rows of W, so the result
+/// is bitwise the dense product.
 template <typename T>
 void linearSplitSparseInto(const SparseRows &X, const T *H,
                            const LinearWeights<T> &L, T *Y) {
@@ -186,14 +218,29 @@ template <typename T> struct LstmWeights {
   LinearWeights<T> Input, Forget, Cell, Output;
 };
 
+/// What lstmForward records of one step for the backward: the step's
+/// input rows, the state it started from, its gate activations and the
+/// tanh of the cell state it produced.
+template <typename T> struct LstmStep {
+  const SparseRows *X = nullptr;
+  Mat<T> H, C;
+  Mat<T> I, F, G, O;
+  Mat<T> TanhC;
+};
+
 /// Runs the LSTM over \p Sequence from a zero state and returns the
-/// final hidden state (LstmCell::runSequenceSparse's forward).
+/// final hidden state. Rows never interact, so row r of a batched run is
+/// bitwise-identical to a width-1 run of that sequence. \p Tape, when
+/// given, receives one entry per step; the rows it points to must
+/// outlive it.
 template <typename T>
 Mat<T> lstmForward(const std::vector<const SparseRows *> &Sequence,
-                   const LstmWeights<T> &Gates) {
+                   const LstmWeights<T> &Gates,
+                   std::vector<LstmStep<T>> *Tape = nullptr) {
   assert(!Sequence.empty() && "empty LSTM sequence");
   Mat<T> H(Sequence.front()->Rows, Gates.Input.Out);
   Mat<T> C(H.Rows, H.Cols);
+  const size_t Size = C.Data.size();
   for (const SparseRows *X : Sequence) {
     auto Gate = [&](const LinearWeights<T> &L) {
       assert(X->Rows == H.Rows && X->Cols + H.Cols == L.In &&
@@ -204,31 +251,51 @@ Mat<T> lstmForward(const std::vector<const SparseRows *> &Sequence,
     };
     Mat<T> I = Gate(Gates.Input), F = Gate(Gates.Forget);
     Mat<T> G = Gate(Gates.Cell), O = Gate(Gates.Output);
+    for (size_t K = 0; K < Size; ++K) {
+      I.Data[K] = sigmoidValue(I.Data[K]);
+      F.Data[K] = sigmoidValue(F.Data[K]);
+      G.Data[K] = std::tanh(G.Data[K]);
+      O.Data[K] = sigmoidValue(O.Data[K]);
+    }
     // F*C and I*G are rounded in a pass of their own before the sum:
-    // within one loop the compiler contracts FC + IG into an FMA, which
-    // the autograd cell (separate hadamard and add nodes) never does.
-    // The update order is LstmCell::runSequenceSparse's; the 0-ULP
-    // graph-free-vs-autograd tests pin the two together.
-    for (size_t K = 0; K < C.Data.size(); ++K) {
-      F.Data[K] = sigmoidValue(F.Data[K]) * C.Data[K];
-      I.Data[K] = sigmoidValue(I.Data[K]) * std::tanh(G.Data[K]);
+    // within one loop the compiler contracts FC + IG into an FMA, and
+    // the backward (nn/Backward.h) rounds them the same way.
+    Mat<T> NextC(H.Rows, H.Cols), IG(H.Rows, H.Cols);
+    for (size_t K = 0; K < Size; ++K) {
+      NextC.Data[K] = F.Data[K] * C.Data[K];
+      IG.Data[K] = I.Data[K] * G.Data[K];
     }
-    for (size_t K = 0; K < C.Data.size(); ++K) {
-      C.Data[K] = F.Data[K] + I.Data[K];
-      H.Data[K] = sigmoidValue(O.Data[K]) * std::tanh(C.Data[K]);
+    Mat<T> NextH(H.Rows, H.Cols), TanhC(H.Rows, H.Cols);
+    for (size_t K = 0; K < Size; ++K) {
+      NextC.Data[K] = NextC.Data[K] + IG.Data[K];
+      TanhC.Data[K] = std::tanh(NextC.Data[K]);
+      NextH.Data[K] = O.Data[K] * TanhC.Data[K];
     }
+    if (Tape)
+      Tape->push_back({X, std::move(H), std::move(C), std::move(I),
+                       std::move(F), std::move(G), std::move(O),
+                       std::move(TanhC)});
+    H = std::move(NextH);
+    C = std::move(NextC);
   }
   return H;
 }
 
-/// The ReLU backbone: ReLU after every layer (Mlp::forward).
+/// The ReLU backbone (Fig. 4a): ReLU after every layer. \p Tape, when
+/// given, receives every layer's input and then the output.
 template <typename T>
-Mat<T> mlpForward(Mat<T> X, const std::vector<LinearWeights<T>> &Layers) {
+Mat<T> mlpForward(Mat<T> X, const std::vector<LinearWeights<T>> &Layers,
+                  std::vector<Mat<T>> *Tape = nullptr) {
   for (const LinearWeights<T> &L : Layers) {
-    X = linearForward(X, L);
-    for (T &V : X.Data)
+    Mat<T> Y = linearForward(X, L);
+    for (T &V : Y.Data)
       V = reluValue(V);
+    if (Tape)
+      Tape->push_back(std::move(X));
+    X = std::move(Y);
   }
+  if (Tape)
+    Tape->push_back(X);
   return X;
 }
 

@@ -17,11 +17,6 @@ Linear::Linear(unsigned In, unsigned Out, Rng &Rng) {
   B = Tensor::parameter(1, Out, std::vector<double>(Out, 0.0));
 }
 
-Tensor Linear::forward(const Tensor &X) const {
-  assert(X.cols() == W.rows() && "input feature arity mismatch");
-  return linear(X, W, B);
-}
-
 Mlp::Mlp(unsigned In, unsigned Hidden, unsigned Depth, Rng &Rng) {
   assert(Depth > 0 && "MLP needs at least one layer");
   unsigned Prev = In;
@@ -31,22 +26,10 @@ Mlp::Mlp(unsigned In, unsigned Hidden, unsigned Depth, Rng &Rng) {
   }
 }
 
-Tensor Mlp::forward(const Tensor &X) const {
-  Tensor H = X;
-  for (const Linear &L : Layers)
-    H = relu(L.forward(H));
-  return H;
-}
-
 std::vector<Tensor> Mlp::parameters() const {
   std::vector<Tensor> Params;
   for (const Linear &L : Layers)
     for (const Tensor &P : L.parameters())
       Params.push_back(P);
   return Params;
-}
-
-unsigned Mlp::outFeatures() const {
-  assert(!Layers.empty());
-  return Layers.back().outFeatures();
 }

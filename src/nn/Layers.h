@@ -3,15 +3,15 @@
 /// \file
 /// Trainable layers of the actor-critic networks: Linear (dense) layers
 /// and the MLP backbone of Fig. 4a (three Dense(512) + ReLU stages).
-/// Parameters are autograd tensors; parameters() exposes them to the
-/// optimizer.
+/// These own the parameters and their shapes; parameters() exposes them
+/// to the optimizer. The forward and backward passes over them are
+/// nn/Inference.h's and nn/Backward.h's.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MLIRRL_NN_LAYERS_H
 #define MLIRRL_NN_LAYERS_H
 
-#include "nn/Ops.h"
 #include "nn/Tensor.h"
 #include "support/Rng.h"
 
@@ -25,8 +25,6 @@ class Linear {
 public:
   Linear() = default;
   Linear(unsigned In, unsigned Out, Rng &Rng);
-
-  Tensor forward(const Tensor &X) const;
 
   std::vector<Tensor> parameters() const { return {W, B}; }
 
@@ -49,12 +47,10 @@ public:
   /// Builds Depth layers of Hidden units over an In-dimensional input.
   Mlp(unsigned In, unsigned Hidden, unsigned Depth, Rng &Rng);
 
-  Tensor forward(const Tensor &X) const;
   std::vector<Tensor> parameters() const;
 
-  unsigned outFeatures() const;
-
-  /// The layer stack (read-only; the graph-free forward reads its shapes).
+  /// The layer stack (read-only; the forward and backward read its
+  /// shapes).
   const std::vector<Linear> &layers() const { return Layers; }
 
 private:

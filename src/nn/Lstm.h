@@ -4,7 +4,9 @@
 /// A standard LSTM cell. The paper feeds the producer and consumer
 /// representation vectors sequentially into an LSTM with 512 units and
 /// uses the final hidden state as the producer-consumer embedding
-/// (Sec. V-A1).
+/// (Sec. V-A1). The cell owns the gate parameters; lstmForward
+/// (nn/Inference.h) and lstmBackward (nn/Backward.h) run it over
+/// compressed sparse input batches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,23 +15,22 @@
 
 #include "nn/Layers.h"
 
+#include <array>
+
 namespace mlirrl {
 namespace nn {
 
-/// One LSTM cell over compressed sparse input batches (observation
-/// features are ~97% zeros).
+/// One LSTM cell's gates.
 class LstmCell {
 public:
   LstmCell() = default;
   LstmCell(unsigned In, unsigned Hidden, Rng &Rng);
 
-  /// Runs a sequence of [B x In] input batches from a zero state and
-  /// returns the final hidden state (the embedding), one row per batch
-  /// element. Rows never interact, so row r of a batched run is
-  /// bitwise-identical to a width-1 run of that sequence.
-  Tensor runSequenceSparse(
-      const std::vector<std::shared_ptr<const SparseRows>> &Sequence) const;
-
+  /// The input, forget, cell and output gates, each over [x, h].
+  std::array<const Linear *, 4> gates() const {
+    return {&InputGate, &ForgetGate, &CellGate, &OutputGate};
+  }
+  /// The gates' (weight, bias) pairs, in gates() order.
   std::vector<Tensor> parameters() const;
   unsigned hiddenSize() const { return Hidden; }
   /// Width of one input row; the gates read [x, h], inputSize() +

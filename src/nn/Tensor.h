@@ -2,10 +2,15 @@
 ///
 /// \file
 /// A small reverse-mode automatic-differentiation engine over 2-D
-/// matrices, sufficient for the paper's actor-critic networks (dense
-/// layers, an LSTM cell, softmax heads) and the PPO loss. Tensors are
-/// cheap shared handles to graph nodes; backward() runs reverse
-/// topological accumulation from a scalar loss.
+/// matrices. Tensors are cheap shared handles to graph nodes; backward()
+/// runs reverse topological accumulation from a scalar loss. Parameters
+/// are leaf tensors whose gradients the optimizer reads.
+///
+/// The graph carries the PPO loss only: the B x 1 log-probabilities,
+/// entropies and values ActorCritic::evaluateBatch returns, the ops of
+/// nn/Ops.h over them, and the scalar loss. The evaluation's nodes run
+/// the networks' explicit backward (nn/Backward.h) from their backward
+/// closures, so a minibatch's graph holds a couple of dozen nodes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +31,7 @@ namespace nn {
 class Tensor;
 
 /// Tensor buffer storage: 64-byte-aligned so SIMD kernels see aligned
-/// bases (the arena in Tensor.cpp recycles these).
+/// bases.
 using DBuffer = std::vector<double, AlignedAllocator<double, BufferAlignment>>;
 
 /// The graph node behind a Tensor handle.
@@ -44,9 +49,7 @@ struct TensorNode {
   /// Operation name, for debugging.
   const char *Op = "leaf";
 
-  double &at(unsigned R, unsigned C) { return Data[R * Cols + C]; }
   double at(unsigned R, unsigned C) const { return Data[R * Cols + C]; }
-  double &gradAt(unsigned R, unsigned C) { return Grad[R * Cols + C]; }
 };
 
 /// A shared handle to a graph node.
@@ -77,7 +80,6 @@ public:
   double item() const;
 
   const DBuffer &data() const { return Node->Data; }
-  DBuffer &mutableData() { return Node->Data; }
   const DBuffer &grad() const { return Node->Grad; }
 
   bool requiresGrad() const { return Node->RequiresGrad; }

@@ -2,32 +2,16 @@
 
 #include "rl/Agent.h"
 
-#include "nn/Distributions.h"
+#include "nn/Backward.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 
 using namespace mlirrl;
 using namespace mlirrl::nn;
 
 namespace {
-
-/// Packs one mask field of every observation into a [BxN] tensor.
-Tensor packMaskRows(const std::vector<const Observation *> &Batch,
-                    const std::vector<double> Observation::*Field) {
-  unsigned B = static_cast<unsigned>(Batch.size());
-  unsigned N = static_cast<unsigned>((Batch.front()->*Field).size());
-  std::vector<double> Packed;
-  Packed.reserve(static_cast<size_t>(B) * N);
-  for (const Observation *Obs : Batch) {
-    const std::vector<double> &Row = Obs->*Field;
-    assert(Row.size() == N && "ragged mask batch");
-    Packed.insert(Packed.end(), Row.begin(), Row.end());
-  }
-  return Tensor::fromData(B, N, std::move(Packed));
-}
 
 /// The one action-space traversal, over plain head logits: forced
 /// pointer continuations, then kind, then the active parameter head
@@ -106,29 +90,116 @@ chooseActions(const EnvConfig &Env, const PolicyNet::Logits<T> &Logits,
   return Out;
 }
 
-/// Lazily constructed per-(head, level) batched tile distributions: a
-/// distribution is only built when some row of the batch actually uses
-/// that head and level.
-class TileDistCache {
-public:
-  TileDistCache(const PolicyNet &Policy, const PolicyNet::Heads &Heads,
-                unsigned MaxLoops)
-      : Policy(Policy), Heads(Heads), Dists(3 * MaxLoops), MaxLoops(MaxLoops) {}
+/// One masked categorical a minibatch's actions draw from: a block of
+/// one head's logits, and per row the picked column (-1: the row does
+/// not use the head). In the multi-discrete space a 0/1 row indicator
+/// restricts the entropy regularizer to the rows that use the head.
+struct HeadTerm {
+  enum Kind { Transform, Tile, Interchange, Flat } Head = Transform;
+  unsigned TileHead = 0;
+  /// The block's columns within the head (0 wide: the whole head).
+  unsigned Col0 = 0, Cols = 0;
+  std::vector<const double *> Masks;
+  std::vector<int> Picks;
+  std::vector<double> Active;
+  Mat<double> LogP, DLogits;
 
-  BatchedMaskedCategorical &get(unsigned HeadIdx, unsigned Level) {
-    std::optional<BatchedMaskedCategorical> &Slot =
-        Dists[HeadIdx * MaxLoops + Level];
-    if (!Slot)
-      Slot.emplace(Policy.tileRow(Heads, HeadIdx, Level));
-    return *Slot;
+  template <typename L> auto &headOf(L &Logits) const {
+    return Head == Transform     ? Logits.Transform
+           : Head == Tile        ? Logits.Tile[TileHead]
+           : Head == Interchange ? Logits.Interchange
+                                 : Logits.Flat;
+  }
+};
+
+/// What a minibatch evaluation's backward reads: the compressed
+/// observations both tapes point into, both networks' tapes, the head
+/// terms and the heads' logits gradients. The evaluation's graph nodes
+/// own it, so it lives exactly as long as the minibatch's graph.
+struct EvaluationTape {
+  std::shared_ptr<const SparseRows> Producer, Consumer;
+  TrunkTape<double> Policy, Value;
+  std::vector<HeadTerm> Terms;
+  PolicyNet::Logits<double> DLogits;
+};
+
+/// The terms of a minibatch's log-probabilities, in summation order:
+/// the flat head alone, or the kind head, then every (tile head, level)
+/// some row used, then the interchange head if some row used it.
+std::vector<HeadTerm>
+headTerms(const EnvConfig &Env, const std::vector<const Observation *> &Obs,
+          const std::vector<const AgentAction *> &Actions) {
+  const unsigned B = static_cast<unsigned>(Obs.size());
+  auto Term = [&](HeadTerm::Kind Head,
+                  const std::vector<double> Observation::*Mask) {
+    HeadTerm T;
+    T.Head = Head;
+    if (Mask)
+      for (const Observation *O : Obs)
+        T.Masks.push_back((O->*Mask).data());
+    T.Picks.assign(B, -1);
+    if (Head != HeadTerm::Flat)
+      T.Active.assign(B, 0.0);
+    return T;
+  };
+  auto Use = [](HeadTerm &T, unsigned R, unsigned Pick) {
+    T.Picks[R] = static_cast<int>(Pick);
+    T.Active[R] = 1.0;
+  };
+  auto Used = [](const HeadTerm &T) {
+    return std::find(T.Active.begin(), T.Active.end(), 1.0) != T.Active.end();
+  };
+  if (Env.ActionSpace == ActionSpaceMode::Flat) {
+    HeadTerm Flat = Term(HeadTerm::Flat, &Observation::FlatMask);
+    for (unsigned R = 0; R < B; ++R)
+      Flat.Picks[R] = static_cast<int>(Actions[R]->FlatChoice);
+    return {Flat};
   }
 
-private:
-  const PolicyNet &Policy;
-  const PolicyNet::Heads &Heads;
-  std::vector<std::optional<BatchedMaskedCategorical>> Dists;
-  unsigned MaxLoops;
-};
+  // Transformation selection: every row except forced pointer
+  // continuations.
+  std::vector<HeadTerm> Terms = {
+      Term(HeadTerm::Transform, &Observation::TransformMask)};
+  for (unsigned R = 0; R < B; ++R)
+    if (!Obs[R]->InPointerSequence)
+      Use(Terms[0], R, static_cast<unsigned>(Actions[R]->Kind));
+
+  // Tile heads, level by level.
+  for (unsigned HeadIdx = 0; HeadIdx < 3; ++HeadIdx) {
+    for (unsigned L = 0; L < Env.MaxLoops; ++L) {
+      HeadTerm T = Term(HeadTerm::Tile, nullptr);
+      T.TileHead = HeadIdx;
+      T.Col0 = L * Env.NumTileSizes;
+      T.Cols = Env.NumTileSizes;
+      for (unsigned R = 0; R < B; ++R) {
+        const AgentAction &A = *Actions[R];
+        if (Obs[R]->InPointerSequence ||
+            (A.Kind != TransformKind::Tiling &&
+             A.Kind != TransformKind::TiledParallelization &&
+             A.Kind != TransformKind::TiledFusion) ||
+            PolicyNet::tileHeadIndex(A.Kind) != HeadIdx ||
+            L >= std::min(Obs[R]->NumLoops, Env.MaxLoops))
+          continue;
+        Use(T, R, L < A.TileSizeIdx.size() ? A.TileSizeIdx[L] : 0);
+      }
+      if (Used(T))
+        Terms.push_back(std::move(T));
+    }
+  }
+
+  // Interchange: pointer continuations plus interchange actions.
+  HeadTerm Inter = Term(HeadTerm::Interchange, &Observation::InterchangeMask);
+  for (unsigned R = 0; R < B; ++R) {
+    const AgentAction &A = *Actions[R];
+    bool Pointer = Obs[R]->InPointerSequence ||
+                   Env.Interchange == InterchangeMode::LevelPointers;
+    if (Obs[R]->InPointerSequence || A.Kind == TransformKind::Interchange)
+      Use(Inter, R, Pointer ? A.PointerChoice : A.EnumeratedChoice);
+  }
+  if (Used(Inter))
+    Terms.push_back(std::move(Inter));
+  return Terms;
+}
 
 } // namespace
 
@@ -146,17 +217,10 @@ ActorCritic::ActorCritic(const EnvConfig &Env, unsigned FeatureSize,
 ActorCritic::Sampled ActorCritic::act(const Observation &Obs, Rng &Rng,
                                       bool Greedy) const {
   // A batch of one: there is exactly one action-space traversal to keep
-  // correct (actBatch / evaluateBatch), and the width-1 batch takes the
+  // correct (actBatch), and the width-1 batch takes the
   // same kernel paths, so this is the batched path's own bitwise
   // contract applied to itself.
   return actBatch({&Obs}, {&Rng}, Greedy).front();
-}
-
-ActorCritic::Evaluation
-ActorCritic::evaluate(const Observation &Obs,
-                      const AgentAction &Action) const {
-  BatchEvaluation Batch = evaluateBatch({&Obs}, {&Action});
-  return Evaluation{Batch.LogProb, Batch.Entropy, Batch.Value};
 }
 
 std::vector<ActorCritic::Sampled>
@@ -227,109 +291,83 @@ ActorCritic::evaluateBatch(const std::vector<const Observation *> &Obs,
                            const std::vector<const AgentAction *> &Actions) const {
   assert(!Obs.empty() && Obs.size() == Actions.size() &&
          "one action per observation");
-  unsigned B = static_cast<unsigned>(Obs.size());
-  PolicyNet::Heads Heads = Policy.forward(Obs);
+  const unsigned B = static_cast<unsigned>(Obs.size());
+  auto Tape = std::make_shared<EvaluationTape>();
+  Tape->Producer = PolicyNet::compressRows(Obs, &Observation::Producer);
+  Tape->Consumer = PolicyNet::compressRows(Obs, &Observation::Consumer);
+  std::vector<Tensor> PolicyParams = Policy.parameters();
+  PolicyNet::Logits<double> Logits =
+      Policy.forwardLogits(*Tape->Producer, *Tape->Consumer,
+                           valuesOf(PolicyParams), &Tape->Policy);
+  Mat<double> Values =
+      Value.forwardValues(*Tape->Producer, *Tape->Consumer, &Tape->Value);
 
-  std::vector<Tensor> LogProbTerms; // each B x 1
-  std::vector<Tensor> EntropyTerms; // each B x 1
-
-  /// Entropy of a head only regularizes rows for which the head is
-  /// active; an exact 0/1 row indicator zeroes the others (values and
-  /// gradients both).
-  auto MaskedEntropy = [B](const BatchedMaskedCategorical &Dist,
-                           const std::vector<double> &Active) {
-    return hadamard(Dist.entropyRows(),
-                    Tensor::fromData(B, 1, Active));
-  };
-
-  if (Env.ActionSpace == ActionSpaceMode::Flat) {
-    BatchedMaskedCategorical Dist(Heads.FlatLogits,
-                                  packMaskRows(Obs, &Observation::FlatMask));
-    std::vector<int> Cols(B);
+  // Every term's log-softmax; a row's log-probability and entropy sum
+  // its terms in order (inactive rows add exact zeros).
+  Tape->Terms = headTerms(Env, Obs, Actions);
+  Tape->DLogits.Tile.resize(Logits.Tile.size());
+  std::vector<double> LogProb(B), Entropy(B);
+  for (size_t K = 0; K < Tape->Terms.size(); ++K) {
+    HeadTerm &T = Tape->Terms[K];
+    const Mat<double> &Head = T.headOf(Logits);
+    if (T.Cols == 0)
+      T.Cols = Head.Cols;
+    Mat<double> Block(B, T.Cols);
     for (unsigned R = 0; R < B; ++R)
-      Cols[R] = static_cast<int>(Actions[R]->FlatChoice);
-    LogProbTerms.push_back(Dist.logProbRows(Cols));
-    EntropyTerms.push_back(Dist.entropyRows());
-  } else {
-    // Transformation-selection head: every row except forced pointer
-    // continuations.
-    BatchedMaskedCategorical KindDist(
-        Heads.TransformLogits, packMaskRows(Obs, &Observation::TransformMask));
-    std::vector<int> KindCols(B);
-    std::vector<double> KindActive(B);
+      std::copy_n(Head.row(R) + T.Col0, T.Cols, Block.row(R));
+    T.LogP = logSoftmaxRows(Block, T.Masks);
+    T.DLogits = Mat<double>(B, T.Cols);
+    if (T.headOf(Tape->DLogits).Rows == 0)
+      T.headOf(Tape->DLogits) = Mat<double>(B, Head.Cols);
+    std::vector<double> RowEntropy = entropyRows(T.LogP);
     for (unsigned R = 0; R < B; ++R) {
-      bool Active = !Obs[R]->InPointerSequence;
-      KindActive[R] = Active ? 1.0 : 0.0;
-      KindCols[R] = Active ? static_cast<int>(Actions[R]->Kind) : -1;
-    }
-    LogProbTerms.push_back(KindDist.logProbRows(KindCols));
-    EntropyTerms.push_back(MaskedEntropy(KindDist, KindActive));
-
-    // Tile heads, level by level; a (head, level) pair no row uses
-    // costs nothing.
-    TileDistCache TileDists(Policy, Heads, Env.MaxLoops);
-    for (unsigned HeadIdx = 0; HeadIdx < 3; ++HeadIdx) {
-      for (unsigned L = 0; L < Env.MaxLoops; ++L) {
-        std::vector<int> Cols(B, -1);
-        std::vector<double> Active(B, 0.0);
-        bool Any = false;
-        for (unsigned R = 0; R < B; ++R) {
-          const AgentAction &A = *Actions[R];
-          if (Obs[R]->InPointerSequence ||
-              (A.Kind != TransformKind::Tiling &&
-               A.Kind != TransformKind::TiledParallelization &&
-               A.Kind != TransformKind::TiledFusion) ||
-              PolicyNet::tileHeadIndex(A.Kind) != HeadIdx)
-            continue;
-          if (L >= std::min(Obs[R]->NumLoops, Env.MaxLoops))
-            continue;
-          Cols[R] = L < A.TileSizeIdx.size()
-                        ? static_cast<int>(A.TileSizeIdx[L])
-                        : 0;
-          Active[R] = 1.0;
-          Any = true;
-        }
-        if (!Any)
-          continue;
-        BatchedMaskedCategorical &Dist = TileDists.get(HeadIdx, L);
-        LogProbTerms.push_back(Dist.logProbRows(Cols));
-        EntropyTerms.push_back(MaskedEntropy(Dist, Active));
-      }
-    }
-
-    // Interchange head: pointer continuations plus interchange actions.
-    std::vector<int> InterCols(B, -1);
-    std::vector<double> InterActive(B, 0.0);
-    bool AnyInter = false;
-    for (unsigned R = 0; R < B; ++R) {
-      const AgentAction &A = *Actions[R];
-      if (!Obs[R]->InPointerSequence &&
-          A.Kind != TransformKind::Interchange)
-        continue;
-      bool Pointer = Obs[R]->InPointerSequence ||
-                     Env.Interchange == InterchangeMode::LevelPointers;
-      InterCols[R] = static_cast<int>(Pointer ? A.PointerChoice
-                                              : A.EnumeratedChoice);
-      InterActive[R] = 1.0;
-      AnyInter = true;
-    }
-    if (AnyInter) {
-      BatchedMaskedCategorical InterDist(
-          Heads.InterchangeLogits,
-          packMaskRows(Obs, &Observation::InterchangeMask));
-      LogProbTerms.push_back(InterDist.logProbRows(InterCols));
-      EntropyTerms.push_back(MaskedEntropy(InterDist, InterActive));
+      double Pick = T.Picks[R] < 0 ? 0.0 : T.LogP.row(R)[T.Picks[R]];
+      double H = T.Active.empty() ? RowEntropy[R] : RowEntropy[R] * T.Active[R];
+      LogProb[R] = K == 0 ? Pick : LogProb[R] + Pick;
+      Entropy[R] = K == 0 ? H : Entropy[R] + H;
     }
   }
 
+  // Four graph nodes, whatever the heads: the policy, whose backward
+  // runs the network's; its two per-row outputs, whose backwards run
+  // the heads' into the tape; and the value.
+  Tensor PolicyNode = makeNode(1, 1, PolicyParams, "policy");
+  PolicyNode.node()->Backward = [this, Tape](TensorNode &) {
+    for (const HeadTerm &T : Tape->Terms) {
+      Mat<double> &Head = T.headOf(Tape->DLogits);
+      for (unsigned R = 0; R < Head.Rows; ++R)
+        for (unsigned J = 0; J < T.Cols; ++J)
+          Head.row(R)[T.Col0 + J] += T.DLogits.row(R)[J];
+    }
+    Policy.backward(Tape->Policy, Tape->DLogits);
+  };
+  auto RowNode = [&](const std::vector<double> &Rows, const char *Name) {
+    Tensor Node = makeNode(B, 1, {PolicyNode}, Name);
+    std::copy(Rows.begin(), Rows.end(), Node.node()->Data.begin());
+    return Node;
+  };
   BatchEvaluation Eval;
-  Eval.LogProb = LogProbTerms.front();
-  for (size_t I = 1; I < LogProbTerms.size(); ++I)
-    Eval.LogProb = add(Eval.LogProb, LogProbTerms[I]);
-  Eval.Entropy = EntropyTerms.front();
-  for (size_t I = 1; I < EntropyTerms.size(); ++I)
-    Eval.Entropy = add(Eval.Entropy, EntropyTerms[I]);
-  Eval.Value = Value.forward(Obs);
+  Eval.LogProb = RowNode(LogProb, "logProb");
+  Eval.LogProb.node()->Backward = [Tape](TensorNode &Self) {
+    for (HeadTerm &T : Tape->Terms)
+      pickBackward(T.LogP, T.Masks, T.Picks, Self.Grad.data(), T.DLogits);
+  };
+  Eval.Entropy = RowNode(Entropy, "entropy");
+  Eval.Entropy.node()->Backward = [Tape](TensorNode &Self) {
+    for (HeadTerm &T : Tape->Terms) {
+      std::vector<double> DEntropy(Self.Grad.begin(), Self.Grad.end());
+      for (size_t R = 0; R < T.Active.size(); ++R)
+        if (T.Active[R] == 0.0)
+          DEntropy[R] = 0.0;
+      entropyBackward(T.LogP, T.Masks, DEntropy, T.DLogits);
+    }
+  };
+  Eval.Value = makeNode(B, 1, Value.parameters(), "value");
+  std::copy(Values.Data.begin(), Values.Data.end(),
+            Eval.Value.node()->Data.begin());
+  Eval.Value.node()->Backward = [this, Tape](TensorNode &Self) {
+    Value.backward(Tape->Value, Self.Grad.data());
+  };
   return Eval;
 }
 

@@ -7,10 +7,10 @@
 /// multi-discrete log-probability of a step is the sum over its active
 /// heads.
 ///
-/// Acting runs the graph-free forward pass of nn/Inference.h; only the
-/// PPO update's evaluateBatch builds an autograd graph. In F64 the two
-/// agree bitwise, so the log-prob and value a rollout stores are exactly
-/// what the update recomputes before any parameter changes.
+/// Acting and the PPO update's evaluateBatch run the same forward pass
+/// (PolicyNet::forwardLogits, ValueNet::forwardValues), so the log-prob
+/// and value a rollout stores are exactly what the update recomputes
+/// before any parameter changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,19 +61,14 @@ public:
                                 const std::vector<Rng *> &Rngs,
                                 bool Greedy = false) const;
 
-  /// Re-evaluates a stored (observation, action) pair under the current
-  /// parameters; all tensors are graph-alive for backward().
-  struct Evaluation {
-    nn::Tensor LogProb;
-    nn::Tensor Entropy;
-    nn::Tensor Value;
-  };
-  Evaluation evaluate(const Observation &Obs, const AgentAction &Action) const;
-
-  /// Batched re-evaluation for the PPO update: per-row log-probs,
-  /// entropies and values as [Bx1] graph-alive tensors, computed with
-  /// one GEMM per layer for the whole minibatch. Heads inactive for a
-  /// given row contribute exact zeros (and no gradient) to that row.
+  /// Batched re-evaluation of stored (observation, action) pairs for the
+  /// PPO update: per-row log-probs, entropies and values as [Bx1]
+  /// tensors, computed with one GEMM per layer for the whole minibatch.
+  /// Heads inactive for a given row contribute exact zeros (and no
+  /// gradient) to that row. The tensors hang off four graph nodes whose
+  /// backward runs the networks' explicit backward on the tape the
+  /// forward recorded; the graph owns the tape and must not outlive the
+  /// agent.
   struct BatchEvaluation {
     nn::Tensor LogProb; // B x 1
     nn::Tensor Entropy; // B x 1
@@ -84,9 +79,6 @@ public:
                 const std::vector<const AgentAction *> &Actions) const;
 
   std::vector<nn::Tensor> parameters() const;
-  std::vector<nn::Tensor> policyParameters() const {
-    return Policy.parameters();
-  }
 
   const EnvConfig &getEnvConfig() const { return Env; }
 

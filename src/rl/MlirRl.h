@@ -33,11 +33,10 @@ struct MlirRlOptions {
 
   /// Element type for greedy policy inference (optimize() rollouts).
   /// F64 (the default) keeps every forward pass on the
-  /// bitwise-deterministic double path; F32 runs the same graph-free
-  /// forward in float, on a packed float copy of the policy parameters
-  /// and the float SIMD GEMM kernels (float-level relative error --
-  /// bounded by tests/rl/InferenceF32Test). Training is unaffected
-  /// either way.
+  /// bitwise-deterministic double path; F32 runs the same forward in
+  /// float, on a packed float copy of the policy parameters and the
+  /// float SIMD GEMM kernels (float-level relative error -- bounded by
+  /// tests/rl/InferenceF32Test). Training is unaffected either way.
   InferenceDtype Inference = InferenceDtype::F64;
 
   /// Memoize prices in one lock-striped CachingEvaluator wrapped around

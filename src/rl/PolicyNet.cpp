@@ -2,6 +2,7 @@
 
 #include "rl/PolicyNet.h"
 
+#include "nn/Backward.h"
 #include "support/Error.h"
 
 #include <cassert>
@@ -39,7 +40,7 @@ private:
 template <typename T>
 Mat<T> trunkForward(const LstmCell &Lstm, const Mlp &Backbone,
                     WeightCursor<T> &Weights, const SparseRows &Producer,
-                    const SparseRows &Consumer) {
+                    const SparseRows &Consumer, TrunkTape<T> *Tape) {
   // Gate widths come from the cell, not the data, so lstmForward's shape
   // assert checks the feature width against the weights.
   const unsigned Hidden = Lstm.hiddenSize();
@@ -51,7 +52,27 @@ Mat<T> trunkForward(const LstmCell &Lstm, const Mlp &Backbone,
   std::vector<LinearWeights<T>> Layers;
   for (const Linear &L : Backbone.layers())
     Layers.push_back(Weights.next(L));
-  return mlpForward(lstmForward<T>({&Producer, &Consumer}, Gates), Layers);
+  return mlpForward(lstmForward<T>({&Producer, &Consumer}, Gates,
+                                   Tape ? &Tape->Lstm : nullptr),
+                    Layers, Tape ? &Tape->Backbone : nullptr);
+}
+
+/// The backward of a network from its heads' logits gradients, given as
+/// (head, gradient) pairs in parameters() order; a head with an empty
+/// gradient took no part. The features' gradient sums the heads' in the
+/// reverse order, then flows through the backbone and the LSTM.
+void networkBackward(
+    const LstmCell &Lstm, const Mlp &Backbone, const TrunkTape<double> &Tape,
+    const std::vector<std::pair<const Linear *, const double *>> &Heads) {
+  const Mat<double> &Features = Tape.Backbone.back();
+  Mat<double> DFeatures(Features.Rows, Features.Cols);
+  for (size_t H = Heads.size(); H-- > 0;)
+    if (Heads[H].second)
+      linearBackward(Features.Rows, Features.Data.data(), Heads[H].second,
+                     *Heads[H].first, DFeatures.Data.data());
+  lstmBackward(Tape.Lstm,
+               mlpBackward(Tape.Backbone, std::move(DFeatures), Backbone),
+               Lstm);
 }
 
 } // namespace
@@ -82,37 +103,14 @@ PolicyNet::compressRows(const std::vector<const Observation *> &Batch,
   return std::make_shared<const SparseRows>(SparseRows::fromRows(Sources));
 }
 
-Tensor PolicyNet::embed(const std::vector<const Observation *> &Batch) const {
-  // Producer first, consumer second; the final hidden state is the
-  // producer-consumer embedding (Sec. V-A1). The whole batch advances
-  // through the LSTM in lockstep, one GEMM per gate per step.
-  return Lstm.runSequenceSparse({compressRows(Batch, &Observation::Producer),
-                                 compressRows(Batch, &Observation::Consumer)});
-}
-
-PolicyNet::Heads
-PolicyNet::forward(const std::vector<const Observation *> &Batch) const {
-  assert(!Batch.empty() && "empty observation batch");
-  Tensor Features = Backbone.forward(embed(Batch));
-  Heads H;
-  if (FlatMode) {
-    H.FlatLogits = FlatHead.forward(Features);
-    return H;
-  }
-  H.TransformLogits = TransformHead.forward(Features);
-  for (const Linear &Head : TileHeads)
-    H.TileLogits.push_back(Head.forward(Features));
-  H.InterchangeLogits = InterchangeHead.forward(Features);
-  return H;
-}
-
 template <typename T>
 PolicyNet::Logits<T>
 PolicyNet::forwardLogits(const SparseRows &Producer, const SparseRows &Consumer,
-                         const std::vector<const T *> &Params) const {
+                         const std::vector<const T *> &Params,
+                         TrunkTape<T> *Tape) const {
   WeightCursor<T> Weights(Params);
   Mat<T> Features =
-      trunkForward(Lstm, Backbone, Weights, Producer, Consumer);
+      trunkForward(Lstm, Backbone, Weights, Producer, Consumer, Tape);
   Logits<T> Out;
   if (FlatMode) {
     Out.Flat = linearForward(Features, Weights.next(FlatHead));
@@ -128,10 +126,29 @@ PolicyNet::forwardLogits(const SparseRows &Producer, const SparseRows &Consumer,
 
 template PolicyNet::Logits<double>
 PolicyNet::forwardLogits(const SparseRows &, const SparseRows &,
-                         const std::vector<const double *> &) const;
+                         const std::vector<const double *> &,
+                         TrunkTape<double> *) const;
 template PolicyNet::Logits<float>
 PolicyNet::forwardLogits(const SparseRows &, const SparseRows &,
-                         const std::vector<const float *> &) const;
+                         const std::vector<const float *> &,
+                         TrunkTape<float> *) const;
+
+void PolicyNet::backward(const TrunkTape<double> &Tape,
+                         const Logits<double> &DLogits) const {
+  auto Head = [](const Linear &L, const Mat<double> &D) {
+    return std::pair(&L, D.Rows ? D.Data.data() : nullptr);
+  };
+  std::vector<std::pair<const Linear *, const double *>> Heads;
+  if (FlatMode) {
+    Heads.push_back(Head(FlatHead, DLogits.Flat));
+  } else {
+    Heads.push_back(Head(TransformHead, DLogits.Transform));
+    for (unsigned H = 0; H < TileHeads.size(); ++H)
+      Heads.push_back(Head(TileHeads[H], DLogits.Tile[H]));
+    Heads.push_back(Head(InterchangeHead, DLogits.Interchange));
+  }
+  networkBackward(Lstm, Backbone, Tape, Heads);
+}
 
 unsigned PolicyNet::tileHeadIndex(TransformKind Kind) {
   switch (Kind) {
@@ -144,12 +161,6 @@ unsigned PolicyNet::tileHeadIndex(TransformKind Kind) {
   default:
     MLIRRL_UNREACHABLE("not a tiled transformation");
   }
-}
-
-Tensor PolicyNet::tileRow(const Heads &H, unsigned HeadIdx,
-                          unsigned Level) const {
-  return sliceCols(H.TileLogits.at(HeadIdx), Level * Env.NumTileSizes,
-                   Env.NumTileSizes);
 }
 
 std::vector<Tensor> PolicyNet::parameters() const {
@@ -177,21 +188,19 @@ ValueNet::ValueNet(const EnvConfig &Env, unsigned FeatureSize, NetConfig Net,
   (void)Env;
 }
 
-Tensor ValueNet::forward(const std::vector<const Observation *> &Batch) const {
-  assert(!Batch.empty() && "empty observation batch");
-  Tensor Embedding = Lstm.runSequenceSparse(
-      {PolicyNet::compressRows(Batch, &Observation::Producer),
-       PolicyNet::compressRows(Batch, &Observation::Consumer)});
-  return Head.forward(Backbone.forward(Embedding));
-}
-
 Mat<double> ValueNet::forwardValues(const SparseRows &Producer,
-                                    const SparseRows &Consumer) const {
+                                    const SparseRows &Consumer,
+                                    TrunkTape<double> *Tape) const {
   std::vector<const double *> Params = valuesOf(parameters());
   WeightCursor<double> Weights(Params);
   Mat<double> Features =
-      trunkForward(Lstm, Backbone, Weights, Producer, Consumer);
+      trunkForward(Lstm, Backbone, Weights, Producer, Consumer, Tape);
   return linearForward(Features, Weights.next(Head));
+}
+
+void ValueNet::backward(const TrunkTape<double> &Tape,
+                        const double *DValues) const {
+  networkBackward(Lstm, Backbone, Tape, {{&Head, DValues}});
 }
 
 std::vector<Tensor> ValueNet::parameters() const {

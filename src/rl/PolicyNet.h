@@ -9,6 +9,9 @@
 /// head (3N-6 enumerated candidates or N level pointers). In the flat
 /// ablation a single flat head replaces all of them.
 ///
+/// Each network has one forward (nn/Inference.h) and one explicit
+/// backward (nn/Backward.h) over the tape a recorded forward leaves.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MLIRRL_RL_POLICYNET_H
@@ -29,53 +32,50 @@ struct NetConfig {
   unsigned BackboneDepth = 3;
 };
 
+/// What a network forward records for its backward: the LSTM steps,
+/// then the backbone's layer inputs and its output (the features).
+template <typename T> struct TrunkTape {
+  std::vector<nn::LstmStep<T>> Lstm;
+  std::vector<nn::Mat<T>> Backbone;
+};
+
 /// The actor.
 class PolicyNet {
 public:
   PolicyNet(const EnvConfig &Env, unsigned FeatureSize, NetConfig Net,
             Rng &Rng);
 
-  /// All head logits for a batch of observations, one row per
-  /// observation (graph-alive tensors). Every head is one fused linear
-  /// over the shared backbone features, so a B-observation batch costs
-  /// one GEMM per layer instead of B GEMVs. Rows are independent: row r
-  /// is bitwise-identical to forward({&Obs_r}) (the blocked GEMM
-  /// accumulates each output element in the same K order for every
-  /// batch size).
-  struct Heads {
-    nn::Tensor TransformLogits;               // B x 6
-    std::vector<nn::Tensor> TileLogits;       // 3 heads, each B x (N*M)
-    nn::Tensor InterchangeLogits;             // B x interchangeHeadSize
-    nn::Tensor FlatLogits;                    // flat mode only
-  };
-
-  Heads forward(const std::vector<const Observation *> &Batch) const;
-
-  /// Single-observation convenience: a batch of one.
-  Heads forward(const Observation &Obs) const { return forward({&Obs}); }
-
-  /// Head logits of the graph-free forward pass (the rollouts' policy).
+  /// Head logits, one row per observation of a batch. Every head is one
+  /// linear layer over the shared backbone features, so a B-observation
+  /// batch costs one GEMM per layer instead of B GEMVs. Rows are
+  /// independent: row r is bitwise the logits of a batch of observation
+  /// r alone.
   template <typename T> struct Logits {
-    nn::Mat<T> Transform;
-    std::vector<nn::Mat<T>> Tile;
-    nn::Mat<T> Interchange;
-    nn::Mat<T> Flat;
+    nn::Mat<T> Transform;          // B x 6
+    std::vector<nn::Mat<T>> Tile;  // 3 heads, each B x (N*M)
+    nn::Mat<T> Interchange;        // B x interchangeHeadSize
+    nn::Mat<T> Flat;               // flat mode only
   };
 
-  /// forward() without a graph, on the batch's compressed producer and
-  /// consumer rows. \p Params holds one pointer per tensor of
-  /// parameters(), in order: the tensors' own values (the double
-  /// instantiation is then bitwise forward()) or a packed float copy.
+  /// The forward pass over the batch's compressed producer and consumer
+  /// rows. \p Params holds one pointer per tensor of parameters(), in
+  /// order: the tensors' own values or a packed float copy. \p Tape,
+  /// when given, records what backward() reads.
   template <typename T>
   Logits<T> forwardLogits(const nn::SparseRows &Producer,
                           const nn::SparseRows &Consumer,
-                          const std::vector<const T *> &Params) const;
+                          const std::vector<const T *> &Params,
+                          TrunkTape<T> *Tape = nullptr) const;
+
+  /// Accumulates into the parameters' gradients the backward of a
+  /// recorded forwardLogits (on the parameters' own values), given the
+  /// gradient of every head's logits. A head whose gradient is empty
+  /// (0 rows) took no part in the loss.
+  void backward(const TrunkTape<double> &Tape,
+                const Logits<double> &DLogits) const;
 
   /// The tile head index for a tiled transformation kind (0..2).
   static unsigned tileHeadIndex(TransformKind Kind);
-
-  /// Carves the per-level logits block [B x M] out of a tile head.
-  nn::Tensor tileRow(const Heads &H, unsigned HeadIdx, unsigned Level) const;
 
   std::vector<nn::Tensor> parameters() const;
 
@@ -88,8 +88,6 @@ public:
                const std::vector<double> Observation::*Field);
 
 private:
-  nn::Tensor embed(const std::vector<const Observation *> &Batch) const;
-
   EnvConfig Env;
   ActionSpaceInfo Space;
   nn::LstmCell Lstm;
@@ -108,14 +106,15 @@ public:
   ValueNet(const EnvConfig &Env, unsigned FeatureSize, NetConfig Net,
            Rng &Rng);
 
-  /// Batched value estimates [B x 1], one row per observation.
-  nn::Tensor forward(const std::vector<const Observation *> &Batch) const;
-  nn::Tensor forward(const Observation &Obs) const { return forward({&Obs}); }
-
-  /// forward() without a graph, bitwise: [B x 1] values from the batch's
-  /// compressed producer and consumer rows.
+  /// Value estimates [B x 1] from the batch's compressed producer and
+  /// consumer rows. \p Tape, when given, records what backward() reads.
   nn::Mat<double> forwardValues(const nn::SparseRows &Producer,
-                                const nn::SparseRows &Consumer) const;
+                                const nn::SparseRows &Consumer,
+                                TrunkTape<double> *Tape = nullptr) const;
+
+  /// Accumulates into the parameters' gradients the backward of a
+  /// recorded forwardValues, given the values' gradients (one per row).
+  void backward(const TrunkTape<double> &Tape, const double *DValues) const;
 
   std::vector<nn::Tensor> parameters() const;
 

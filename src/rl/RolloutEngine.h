@@ -20,7 +20,7 @@
 /// prices -- and inherits the agent's InferenceDtype (F32 runs greedy
 /// steps' forward pass in float; sampling and the critic always stay on
 /// the bitwise-deterministic double path). Actions come from the
-/// agent's graph-free forward pass, so rollouts build no autograd
+/// agent's forward pass alone: rollouts record no tape and build no
 /// graph.
 ///
 /// Determinism contract (inherited from the loops it replaced and

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// A minimal std::allocator replacement with a compile-time alignment
-/// guarantee, so hot numeric buffers (the tensor arena, the graph-free
+/// guarantee, so hot numeric buffers (tensor data and gradients, the
 /// forward's matrices) start on SIMD-friendly boundaries. The GEMM
 /// kernels tolerate unaligned operands -- sub-matrix views and odd
 /// leading dimensions are legal -- but aligned bases let full-buffer

@@ -380,7 +380,11 @@ bool mlirrl::verifyScheduleState(ScheduleState &State,
     auto It = Sched.OpSchedules.find(OpIdx);
     const OpSchedule &OpSched =
         It == Sched.OpSchedules.end() ? EmptySchedule : It->second;
-    if (!checkCandidateAction(M, OpIdx, OpSched, ErrorMessage))
+    // The nested pass writes its own message, so an earlier failure
+    // recorded here must not be overwritten by it.
+    std::string OpErr;
+    if (!C.check(checkCandidateAction(M, OpIdx, OpSched, OpErr),
+                 [&] { return OpErr; }))
       return false;
     // Stale-cache detection: the cached nest must be identical to a
     // from-scratch materialization of the committed schedule.

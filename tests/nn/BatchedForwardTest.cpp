@@ -6,7 +6,8 @@
 // be *bitwise* identical (0 ULP) to a single-observation forward of
 // observation r -- the property the VecEnv determinism contract rests
 // on. Verified here for batch sizes 1, 2 and 32 on both networks, along
-// with the graph-free rollout forward against the autograd one.
+// with the forward against a plain dense reference of the paper's
+// equations.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,9 @@
 #include "perf/Runner.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 using namespace mlirrl;
 using namespace mlirrl::nn;
@@ -69,12 +73,83 @@ std::vector<Observation> collectObservations(const EnvConfig &Config,
   return Out;
 }
 
-void expectRowMatchesSingle(const Tensor &Batched, const Tensor &Single,
-                            unsigned Row) {
-  ASSERT_EQ(Single.rows(), 1u);
-  ASSERT_EQ(Batched.cols(), Single.cols());
-  for (unsigned J = 0; J < Single.cols(); ++J)
+/// Runs both networks' forward on a batch of observations.
+struct Forward {
+  PolicyNet::Logits<double> Logits;
+  Mat<double> Values;
+};
+
+Forward forwardOn(const PolicyNet &Policy, const ValueNet &Value,
+                  const std::vector<const Observation *> &Batch) {
+  std::shared_ptr<const SparseRows> Producer =
+      PolicyNet::compressRows(Batch, &Observation::Producer);
+  std::shared_ptr<const SparseRows> Consumer =
+      PolicyNet::compressRows(Batch, &Observation::Consumer);
+  return {Policy.forwardLogits(*Producer, *Consumer,
+                               valuesOf(Policy.parameters())),
+          Value.forwardValues(*Producer, *Consumer)};
+}
+
+void expectRowMatchesSingle(const Mat<double> &Batched,
+                            const Mat<double> &Single, unsigned Row) {
+  ASSERT_EQ(Single.Rows, 1u);
+  ASSERT_EQ(Batched.Cols, Single.Cols);
+  for (unsigned J = 0; J < Single.Cols; ++J)
     EXPECT_SAME_BITS(Batched.at(Row, J), Single.at(0, J));
+}
+
+/// The networks of Sec. V-A in plain loops over one observation: the
+/// LSTM over [producer, consumer] from a zero state, the ReLU backbone,
+/// then the given number of linear heads, with parameters read in
+/// parameters() order.
+std::vector<std::vector<double>>
+denseReference(const std::vector<Tensor> &Params, const Observation &Obs,
+               unsigned Depth, unsigned Heads) {
+  size_t Next = 0;
+  auto Linear = [&](const std::vector<double> &X) {
+    const Tensor &W = Params[Next], &B = Params[Next + 1];
+    Next += 2;
+    std::vector<double> Y(W.cols());
+    for (unsigned J = 0; J < W.cols(); ++J) {
+      double V = B.at(0, J);
+      for (unsigned K = 0; K < W.rows(); ++K)
+        V += X[K] * W.at(K, J);
+      Y[J] = V;
+    }
+    return Y;
+  };
+  auto Sigmoid = [](double X) { return 1.0 / (1.0 + std::exp(-X)); };
+  const unsigned Hidden = Params[0].cols();
+  std::vector<double> H(Hidden, 0.0), C(Hidden, 0.0);
+  for (const std::vector<double> *X : {&Obs.Producer, &Obs.Consumer}) {
+    std::vector<double> XH = *X;
+    XH.insert(XH.end(), H.begin(), H.end());
+    Next = 0;
+    std::vector<double> I = Linear(XH), F = Linear(XH), G = Linear(XH),
+                        O = Linear(XH);
+    for (unsigned K = 0; K < Hidden; ++K) {
+      C[K] = Sigmoid(F[K]) * C[K] + Sigmoid(I[K]) * std::tanh(G[K]);
+      H[K] = Sigmoid(O[K]) * std::tanh(C[K]);
+    }
+  }
+  std::vector<double> Features = H;
+  for (unsigned L = 0; L < Depth; ++L) {
+    Features = Linear(Features);
+    for (double &V : Features)
+      V = std::max(V, 0.0);
+  }
+  std::vector<std::vector<double>> Out;
+  for (unsigned Head = 0; Head < Heads; ++Head)
+    Out.push_back(Linear(Features));
+  EXPECT_EQ(Next, Params.size());
+  return Out;
+}
+
+void expectNearReference(const Mat<double> &Plain, unsigned Row,
+                         const std::vector<double> &Ref) {
+  ASSERT_EQ(Plain.Cols, Ref.size());
+  for (unsigned J = 0; J < Plain.Cols; ++J)
+    EXPECT_NEAR(Plain.at(Row, J), Ref[J], 1e-12 * (1.0 + std::fabs(Ref[J])));
 }
 
 class BatchedForwardFixture : public ::testing::TestWithParam<unsigned> {};
@@ -87,25 +162,26 @@ TEST_P(BatchedForwardFixture, PolicyHeadsMatchPerSampleForward) {
   Runner Run(MachineModel::xeonE5_2680v4());
   std::vector<Observation> Obs = collectObservations(Config, Run, B);
 
-  Rng InitRng(5);
-  PolicyNet Policy(Config, Featurizer(Config).featureSize(), tinyNet(),
-                   InitRng);
+  unsigned FeatureSize = Featurizer(Config).featureSize();
+  Rng PolicyRng(5), ValueRng(6);
+  PolicyNet Policy(Config, FeatureSize, tinyNet(), PolicyRng);
+  ValueNet Value(Config, FeatureSize, tinyNet(), ValueRng);
 
   std::vector<const Observation *> Batch;
   for (const Observation &O : Obs)
     Batch.push_back(&O);
-  PolicyNet::Heads Batched = Policy.forward(Batch);
-  ASSERT_EQ(Batched.TransformLogits.rows(), B);
+  Forward Batched = forwardOn(Policy, Value, Batch);
+  ASSERT_EQ(Batched.Logits.Transform.Rows, B);
 
   for (unsigned R = 0; R < B; ++R) {
-    PolicyNet::Heads Single = Policy.forward(Obs[R]);
-    expectRowMatchesSingle(Batched.TransformLogits, Single.TransformLogits,
+    Forward Single = forwardOn(Policy, Value, {&Obs[R]});
+    expectRowMatchesSingle(Batched.Logits.Transform, Single.Logits.Transform,
                            R);
-    expectRowMatchesSingle(Batched.InterchangeLogits,
-                           Single.InterchangeLogits, R);
-    ASSERT_EQ(Batched.TileLogits.size(), Single.TileLogits.size());
-    for (unsigned H = 0; H < Batched.TileLogits.size(); ++H)
-      expectRowMatchesSingle(Batched.TileLogits[H], Single.TileLogits[H], R);
+    expectRowMatchesSingle(Batched.Logits.Interchange,
+                           Single.Logits.Interchange, R);
+    ASSERT_EQ(Batched.Logits.Tile.size(), Single.Logits.Tile.size());
+    for (unsigned H = 0; H < Batched.Logits.Tile.size(); ++H)
+      expectRowMatchesSingle(Batched.Logits.Tile[H], Single.Logits.Tile[H], R);
   }
 }
 
@@ -115,21 +191,20 @@ TEST_P(BatchedForwardFixture, ValueNetMatchesPerSampleForward) {
   Runner Run(MachineModel::xeonE5_2680v4());
   std::vector<Observation> Obs = collectObservations(Config, Run, B);
 
-  Rng InitRng(6);
-  ValueNet Value(Config, Featurizer(Config).featureSize(), tinyNet(),
-                 InitRng);
+  unsigned FeatureSize = Featurizer(Config).featureSize();
+  Rng PolicyRng(5), ValueRng(6);
+  PolicyNet Policy(Config, FeatureSize, tinyNet(), PolicyRng);
+  ValueNet Value(Config, FeatureSize, tinyNet(), ValueRng);
 
   std::vector<const Observation *> Batch;
   for (const Observation &O : Obs)
     Batch.push_back(&O);
-  Tensor Batched = Value.forward(Batch);
-  ASSERT_EQ(Batched.rows(), B);
-  ASSERT_EQ(Batched.cols(), 1u);
-
-  for (unsigned R = 0; R < B; ++R) {
-    Tensor Single = Value.forward(Obs[R]);
-    EXPECT_SAME_BITS(Batched.at(R, 0), Single.at(0, 0));
-  }
+  Forward Batched = forwardOn(Policy, Value, Batch);
+  ASSERT_EQ(Batched.Values.Rows, B);
+  ASSERT_EQ(Batched.Values.Cols, 1u);
+  for (unsigned R = 0; R < B; ++R)
+    expectRowMatchesSingle(Batched.Values,
+                           forwardOn(Policy, Value, {&Obs[R]}).Values, R);
 }
 
 TEST_P(BatchedForwardFixture, FlatHeadMatchesPerSampleForward) {
@@ -139,23 +214,24 @@ TEST_P(BatchedForwardFixture, FlatHeadMatchesPerSampleForward) {
   Runner Run(MachineModel::xeonE5_2680v4());
   std::vector<Observation> Obs = collectObservations(Config, Run, B);
 
-  Rng InitRng(7);
-  PolicyNet Policy(Config, Featurizer(Config).featureSize(), tinyNet(),
-                   InitRng);
+  unsigned FeatureSize = Featurizer(Config).featureSize();
+  Rng PolicyRng(7), ValueRng(6);
+  PolicyNet Policy(Config, FeatureSize, tinyNet(), PolicyRng);
+  ValueNet Value(Config, FeatureSize, tinyNet(), ValueRng);
 
   std::vector<const Observation *> Batch;
   for (const Observation &O : Obs)
     Batch.push_back(&O);
-  PolicyNet::Heads Batched = Policy.forward(Batch);
+  Forward Batched = forwardOn(Policy, Value, Batch);
   for (unsigned R = 0; R < B; ++R) {
-    PolicyNet::Heads Single = Policy.forward(Obs[R]);
-    expectRowMatchesSingle(Batched.FlatLogits, Single.FlatLogits, R);
+    Forward Single = forwardOn(Policy, Value, {&Obs[R]});
+    expectRowMatchesSingle(Batched.Logits.Flat, Single.Logits.Flat, R);
   }
 }
 
-TEST_P(BatchedForwardFixture, GraphFreeForwardMatchesAutograd) {
-  // Rollouts act through the graph-free forward, the PPO update through
-  // autograd: every head and the value must agree at 0 ULP.
+TEST_P(BatchedForwardFixture, ForwardMatchesDenseReference) {
+  // Every head and the value against the paper's equations in plain
+  // loops: an independent reference for the one forward.
   unsigned B = GetParam();
   for (ActionSpaceMode Mode :
        {ActionSpaceMode::MultiDiscrete, ActionSpaceMode::Flat}) {
@@ -164,39 +240,32 @@ TEST_P(BatchedForwardFixture, GraphFreeForwardMatchesAutograd) {
     Runner Run(MachineModel::xeonE5_2680v4());
     std::vector<Observation> Obs = collectObservations(Config, Run, B);
     unsigned FeatureSize = Featurizer(Config).featureSize();
+    NetConfig Net = tinyNet();
     Rng PolicyRng(8), ValueRng(9);
-    PolicyNet Policy(Config, FeatureSize, tinyNet(), PolicyRng);
-    ValueNet Value(Config, FeatureSize, tinyNet(), ValueRng);
+    PolicyNet Policy(Config, FeatureSize, Net, PolicyRng);
+    ValueNet Value(Config, FeatureSize, Net, ValueRng);
 
     std::vector<const Observation *> Batch;
     for (const Observation &O : Obs)
       Batch.push_back(&O);
-    std::shared_ptr<const SparseRows> Producer =
-        PolicyNet::compressRows(Batch, &Observation::Producer);
-    std::shared_ptr<const SparseRows> Consumer =
-        PolicyNet::compressRows(Batch, &Observation::Consumer);
-
-    auto ExpectSame = [](const Mat<double> &Plain, const Tensor &Graph) {
-      ASSERT_EQ(Plain.Rows, Graph.rows());
-      ASSERT_EQ(Plain.Cols, Graph.cols());
-      for (unsigned R = 0; R < Plain.Rows; ++R)
-        for (unsigned C = 0; C < Plain.Cols; ++C)
-          EXPECT_SAME_BITS(Plain.at(R, C), Graph.at(R, C));
-    };
-    PolicyNet::Heads Graph = Policy.forward(Batch);
-    PolicyNet::Logits<double> Plain = Policy.forwardLogits(
-        *Producer, *Consumer, valuesOf(Policy.parameters()));
-    if (Mode == ActionSpaceMode::Flat) {
-      ExpectSame(Plain.Flat, Graph.FlatLogits);
-    } else {
-      ExpectSame(Plain.Transform, Graph.TransformLogits);
-      ExpectSame(Plain.Interchange, Graph.InterchangeLogits);
-      ASSERT_EQ(Plain.Tile.size(), Graph.TileLogits.size());
-      for (unsigned H = 0; H < Plain.Tile.size(); ++H)
-        ExpectSame(Plain.Tile[H], Graph.TileLogits[H]);
+    Forward Plain = forwardOn(Policy, Value, Batch);
+    for (unsigned R = 0; R < B; ++R) {
+      bool Flat = Mode == ActionSpaceMode::Flat;
+      std::vector<std::vector<double>> Heads =
+          denseReference(Policy.parameters(), Obs[R], Net.BackboneDepth,
+                         Flat ? 1 : 5);
+      if (Flat) {
+        expectNearReference(Plain.Logits.Flat, R, Heads[0]);
+      } else {
+        expectNearReference(Plain.Logits.Transform, R, Heads[0]);
+        for (unsigned H = 0; H < 3; ++H)
+          expectNearReference(Plain.Logits.Tile[H], R, Heads[1 + H]);
+        expectNearReference(Plain.Logits.Interchange, R, Heads[4]);
+      }
+      expectNearReference(Plain.Values, R,
+                          denseReference(Value.parameters(), Obs[R],
+                                         Net.BackboneDepth, 1)[0]);
     }
-    ExpectSame(Value.forwardValues(*Producer, *Consumer),
-               Value.forward(Batch));
   }
 }
 

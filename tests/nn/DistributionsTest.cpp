@@ -1,15 +1,16 @@
 //===- DistributionsTest.cpp - Tests for masked categoricals ----------------===//
 //
 // The row helpers rollouts act through (nn/Inference.h) and the
-// differentiable entropy the PPO update regularizes with.
+// log-probability and entropy heads the PPO update evaluates
+// (nn/Backward.h).
 //
 //===----------------------------------------------------------------------===//
 
-#include "nn/Distributions.h"
-#include "nn/Inference.h"
+#include "nn/Backward.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 using namespace mlirrl;
@@ -35,11 +36,12 @@ std::vector<double> probabilities(const std::vector<double> &LogProbs) {
 
 double entropy(const std::vector<double> &Logits,
                const std::vector<double> &Mask = {}) {
-  unsigned N = static_cast<unsigned>(Logits.size());
-  BatchedMaskedCategorical Dist(
-      Tensor::fromData(1, N, Logits),
-      Mask.empty() ? Tensor() : Tensor::fromData(1, N, Mask));
-  return Dist.entropyRows().item();
+  Mat<double> Row(1, static_cast<unsigned>(Logits.size()));
+  std::copy(Logits.begin(), Logits.end(), Row.Data.begin());
+  std::vector<const double *> Masks;
+  if (!Mask.empty())
+    Masks.push_back(Mask.data());
+  return entropyRows(logSoftmaxRows(Row, Masks)).front();
 }
 
 } // namespace
@@ -81,11 +83,10 @@ TEST(CategoricalTest, ArgmaxRespectsMask) {
 }
 
 TEST(CategoricalTest, LogProbMatchesProbabilities) {
-  Tensor Logits = Tensor::fromData(1, 3, {1.0, 2.0, 3.0});
-  BatchedMaskedCategorical Dist(Logits);
-  std::vector<double> P = probabilities(logProbs({1.0, 2.0, 3.0}));
+  std::vector<double> LogP = logProbs({1.0, 2.0, 3.0});
+  double Z = std::exp(1.0) + std::exp(2.0) + std::exp(3.0);
   for (int I = 0; I < 3; ++I)
-    EXPECT_NEAR(Dist.logProbRows({I}).item(), std::log(P[I]), 1e-9);
+    EXPECT_NEAR(LogP[I], std::log(std::exp(1.0 + I) / Z), 1e-9);
 }
 
 TEST(CategoricalTest, EntropyUniformIsLogN) {

@@ -7,10 +7,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "nn/Backward.h"
 #include "nn/Gemm.h"
 #include "nn/GemmKernel.h"
-#include "nn/Ops.h"
-#include "nn/Tensor.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -111,81 +110,123 @@ TEST(GemmTest, AccumulatesIntoExistingValues) {
   EXPECT_DOUBLE_EQ(C[0], 10.0 + 3.0 + 8.0);
 }
 
-TEST(GemmTest, MatmulOpBackwardMatchesManualGradients) {
-  // d/dA sum(A.B) = ones . B^T, d/dB = A^T . ones; random odd shapes so
-  // the kernel tails are exercised through the autograd path too.
+namespace {
+
+/// The dense-layer backward (nn/Backward.h) on raw buffers: dX, dW and
+/// dB of a loss whose gradient at Y = X . W + b is \p DY.
+struct LinearGradients {
+  std::vector<double> DX, DW, DB;
+};
+
+LinearGradients linearGradients(unsigned M, unsigned K, unsigned N,
+                                const std::vector<double> &X,
+                                const std::vector<double> &W,
+                                const std::vector<double> &B,
+                                const std::vector<double> &DY) {
+  Rng Init(1);
+  Linear L(K, N, Init);
+  std::copy(W.begin(), W.end(), L.weight().node()->Data.begin());
+  std::copy(B.begin(), B.end(), L.bias().node()->Data.begin());
+  std::vector<double> DX(M * K);
+  linearBackward(M, X.data(), DY.data(), L, DX.data());
+  return {DX, {L.weight().grad().begin(), L.weight().grad().end()},
+          {L.bias().grad().begin(), L.bias().grad().end()}};
+}
+
+} // namespace
+
+TEST(GemmTest, LinearBackwardMatchesManualGradients) {
+  // d/dX sum(X.W + b) = ones . W^T, d/dW = X^T . ones, d/db = M; random
+  // odd shapes so the kernel tails are exercised through the backward.
   Rng R(45);
   for (const Shape &S : {Shape{3, 5, 7}, Shape{1, 130, 9}, Shape{66, 3, 5}}) {
-    Tensor A = Tensor::parameter(S.M, S.K, randomData(R, S.M * S.K));
-    Tensor B = Tensor::parameter(S.K, S.N, randomData(R, S.K * S.N));
-    Tensor Loss = sumAll(matmul(A, B));
-    Loss.backward();
-
+    std::vector<double> X = randomData(R, S.M * S.K);
+    std::vector<double> W = randomData(R, S.K * S.N);
+    std::vector<double> B = randomData(R, S.N);
+    LinearGradients G = linearGradients(S.M, S.K, S.N, X, W, B,
+                                        std::vector<double>(S.M * S.N, 1.0));
     for (unsigned I = 0; I < S.M; ++I)
       for (unsigned Kk = 0; Kk < S.K; ++Kk) {
         double Expect = 0.0;
         for (unsigned J = 0; J < S.N; ++J)
-          Expect += B.at(Kk, J);
-        EXPECT_NEAR(A.grad()[I * S.K + Kk], Expect, 1e-10);
+          Expect += W[Kk * S.N + J];
+        EXPECT_NEAR(G.DX[I * S.K + Kk], Expect, 1e-10);
       }
     for (unsigned Kk = 0; Kk < S.K; ++Kk)
       for (unsigned J = 0; J < S.N; ++J) {
         double Expect = 0.0;
         for (unsigned I = 0; I < S.M; ++I)
-          Expect += A.at(I, Kk);
-        EXPECT_NEAR(B.grad()[Kk * S.N + J], Expect, 1e-10);
+          Expect += X[I * S.K + Kk];
+        EXPECT_NEAR(G.DW[Kk * S.N + J], Expect, 1e-10);
       }
+    for (unsigned J = 0; J < S.N; ++J)
+      EXPECT_DOUBLE_EQ(G.DB[J], static_cast<double>(S.M));
   }
 }
 
-TEST(GemmTest, MatmulBackwardHandlesZeroEntries) {
-  // The seed's Aik == 0 short-circuit skipped gradient rows; zeros in A
-  // must not disturb any gradient entry.
-  Tensor A = Tensor::parameter(2, 2, {0.0, 1.0, 2.0, 0.0});
-  Tensor B = Tensor::parameter(2, 2, {3.0, 4.0, 5.0, 6.0});
-  Tensor Loss = sumAll(matmul(A, B));
-  Loss.backward();
-  // dA[i][k] = sum_j B[k][j].
-  EXPECT_DOUBLE_EQ(A.grad()[0], 7.0);
-  EXPECT_DOUBLE_EQ(A.grad()[1], 11.0);
-  EXPECT_DOUBLE_EQ(A.grad()[2], 7.0);
-  EXPECT_DOUBLE_EQ(A.grad()[3], 11.0);
-  // dB[k][j] = sum_i A[i][k].
-  EXPECT_DOUBLE_EQ(B.grad()[0], 2.0);
-  EXPECT_DOUBLE_EQ(B.grad()[1], 2.0);
-  EXPECT_DOUBLE_EQ(B.grad()[2], 1.0);
-  EXPECT_DOUBLE_EQ(B.grad()[3], 1.0);
+TEST(GemmTest, LinearBackwardHandlesZeroEntries) {
+  // The TN kernel skips zero rows of X; zeros in X must not disturb any
+  // gradient entry.
+  LinearGradients G =
+      linearGradients(2, 2, 2, {0.0, 1.0, 2.0, 0.0}, {3.0, 4.0, 5.0, 6.0},
+                      {0.0, 0.0}, {1.0, 1.0, 1.0, 1.0});
+  // dX[i][k] = sum_j W[k][j].
+  EXPECT_DOUBLE_EQ(G.DX[0], 7.0);
+  EXPECT_DOUBLE_EQ(G.DX[1], 11.0);
+  EXPECT_DOUBLE_EQ(G.DX[2], 7.0);
+  EXPECT_DOUBLE_EQ(G.DX[3], 11.0);
+  // dW[k][j] = sum_i X[i][k].
+  EXPECT_DOUBLE_EQ(G.DW[0], 2.0);
+  EXPECT_DOUBLE_EQ(G.DW[1], 2.0);
+  EXPECT_DOUBLE_EQ(G.DW[2], 1.0);
+  EXPECT_DOUBLE_EQ(G.DW[3], 1.0);
 }
 
-TEST(GemmTest, FusedLinearMatchesMatmulAddBias) {
+TEST(GemmTest, LinearForwardBackwardMatchesNaive) {
+  // Y = X . W + b and the gradients of sum(Y * Y) against plain loops.
   Rng R(46);
   unsigned M = 5, K = 37, N = 11;
-  std::vector<double> Xd = randomData(R, M * K);
-  std::vector<double> Wd = randomData(R, K * N);
-  std::vector<double> Bd = randomData(R, N);
+  std::vector<double> X = randomData(R, M * K);
+  std::vector<double> W = randomData(R, K * N);
+  std::vector<double> B = randomData(R, N);
+  Mat<double> Xm(M, K);
+  std::copy(X.begin(), X.end(), Xm.Data.begin());
+  Mat<double> Y =
+      linearForward(Xm, LinearWeights<double>{W.data(), B.data(), K, N});
 
-  Tensor X1 = Tensor::parameter(M, K, Xd);
-  Tensor W1 = Tensor::parameter(K, N, Wd);
-  Tensor B1 = Tensor::parameter(1, N, Bd);
-  Tensor Fused = linear(X1, W1, B1);
-  Tensor LossFused = sumAll(hadamard(Fused, Fused));
-  LossFused.backward();
-
-  Tensor X2 = Tensor::parameter(M, K, Xd);
-  Tensor W2 = Tensor::parameter(K, N, Wd);
-  Tensor B2 = Tensor::parameter(1, N, Bd);
-  Tensor Ref = addBias(matmul(X2, W2), B2);
-  Tensor LossRef = sumAll(hadamard(Ref, Ref));
-  LossRef.backward();
-
+  std::vector<double> Ref(M * N), DY(M * N);
+  for (unsigned I = 0; I < M; ++I)
+    for (unsigned J = 0; J < N; ++J) {
+      double V = B[J];
+      for (unsigned Kk = 0; Kk < K; ++Kk)
+        V += X[I * K + Kk] * W[Kk * N + J];
+      Ref[I * N + J] = V;
+      DY[I * N + J] = 2.0 * Y.at(I, J);
+    }
   for (unsigned I = 0; I < M * N; ++I)
-    EXPECT_NEAR(Fused.data()[I], Ref.data()[I], 1e-12);
-  for (unsigned I = 0; I < M * K; ++I)
-    EXPECT_NEAR(X1.grad()[I], X2.grad()[I], 1e-10);
-  for (unsigned I = 0; I < K * N; ++I)
-    EXPECT_NEAR(W1.grad()[I], W2.grad()[I], 1e-10);
-  for (unsigned I = 0; I < N; ++I)
-    EXPECT_NEAR(B1.grad()[I], B2.grad()[I], 1e-10);
+    EXPECT_NEAR(Y.Data[I], Ref[I], 1e-12);
+
+  LinearGradients G = linearGradients(M, K, N, X, W, B, DY);
+  for (unsigned I = 0; I < M; ++I)
+    for (unsigned Kk = 0; Kk < K; ++Kk) {
+      double Expect = 0.0;
+      for (unsigned J = 0; J < N; ++J)
+        Expect += DY[I * N + J] * W[Kk * N + J];
+      EXPECT_NEAR(G.DX[I * K + Kk], Expect, 1e-10);
+    }
+  for (unsigned Kk = 0; Kk < K; ++Kk)
+    for (unsigned J = 0; J < N; ++J) {
+      double Expect = 0.0;
+      for (unsigned I = 0; I < M; ++I)
+        Expect += X[I * K + Kk] * DY[I * N + J];
+      EXPECT_NEAR(G.DW[Kk * N + J], Expect, 1e-10);
+    }
+  for (unsigned J = 0; J < N; ++J) {
+    double Expect = 0.0;
+    for (unsigned I = 0; I < M; ++I)
+      Expect += DY[I * N + J];
+    EXPECT_NEAR(G.DB[J], Expect, 1e-10);
+  }
 }
 
 //===----------------------------------------------------------------------===//

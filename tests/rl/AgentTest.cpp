@@ -55,9 +55,9 @@ TEST_F(AgentFixture, SampledTileIndicesInRange) {
 }
 
 TEST_F(AgentFixture, EvaluateReproducesSampledLogProb) {
-  // Sampling runs the graph-free forward, the PPO update re-evaluates
-  // through autograd: before any update, the stored log-prob and value
-  // must be the re-evaluation's bitwise, at every batch width.
+  // Sampling runs the forward alone, the PPO update re-evaluates with a
+  // tape for its backward: before any update, the stored log-prob and
+  // value must be the re-evaluation's bitwise, at every batch width.
   std::vector<Module> Modules = {makeMatmulModule(64, 64, 64),
                                  makeReluModule({256, 64}),
                                  makeMaxpoolModule(1, 16, 32, 32, 2, 2),

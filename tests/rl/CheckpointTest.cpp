@@ -5,7 +5,9 @@
 // save -> load -> save produce a byte-identical second archive, a
 // corrupted chunk fails with a clean error while leaving the trainer
 // bit-for-bit untouched, and a checkpoint from a different network
-// architecture is rejected the same way.
+// architecture or a missing file is rejected the same way. A checked-in
+// trainer checkpoint pins the format: every build must load it, re-save
+// it to the same bytes and train on from it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,6 +68,32 @@ MlirRlOptions tinyOptions(uint64_t Seed = 321) {
 
 std::vector<Module> tinyDataset() {
   return {makeMatmulModule(64, 64, 64), makeReluModule({256, 64})};
+}
+
+/// The format fixture's configuration: a 4-wide, depth-1 net over a
+/// 79-feature environment (3 loops, 4 tile sizes, 2 arrays of rank 2,
+/// schedules of at most 2 transformations), which keeps the archive at
+/// 84 KB.
+MlirRlOptions fixtureOptions() {
+  MlirRlOptions O = MlirRlOptions::laptop();
+  O.Env.MaxLoops = 3;
+  O.Env.NumTileSizes = 4;
+  O.Env.TileCandidates = {0, 4, 8, 16};
+  O.Env.MaxArrays = 2;
+  O.Env.MaxRank = 2;
+  O.Env.MaxScheduleLength = 2;
+  O.Net = NetConfig{4, 4, 1};
+  O.Ppo.SamplesPerIteration = 4;
+  O.Iterations = 1;
+  O.Seed = 79;
+  return O;
+}
+
+/// The trainer state after one trainIteration, as a byte string.
+std::vector<uint8_t> trainerState(const PpoTrainer &Trainer) {
+  ArchiveWriter W(CheckpointFormatVersion);
+  Trainer.saveState(W);
+  return W.finish();
 }
 
 } // namespace
@@ -236,4 +264,60 @@ TEST(CheckpointTest, ArchitectureMismatchFailsCleanlyAndMutatesNothing) {
   }();
   expectSameBytes(StateAfter, StateBefore);
   std::remove(Path.c_str());
+}
+
+TEST(CheckpointTest, MissingFileFailsCleanlyAndMutatesNothing) {
+  MlirRl Sys(tinyOptions());
+  std::vector<Module> Data = tinyDataset();
+  Sys.trainer().trainIteration(Data);
+  std::vector<uint8_t> StateBefore = trainerState(Sys.trainer());
+  uint64_t VersionBefore = Sys.agent().parameterVersion();
+
+  // Never written.
+  const std::string Path = "checkpoint_test_missing.ckpt";
+  Expected<bool> Loaded = loadCheckpoint(Sys.trainer(), Path);
+  ASSERT_FALSE(Loaded.hasValue());
+  EXPECT_NE(Loaded.getError().find(Path), std::string::npos)
+      << Loaded.getError();
+  Expected<bool> Params = loadAgentParameters(Sys.agent(), Path);
+  ASSERT_FALSE(Params.hasValue());
+  EXPECT_NE(Params.getError().find(Path), std::string::npos)
+      << Params.getError();
+
+  // Neither load touched the trainer or the agent's parameters.
+  expectSameBytes(trainerState(Sys.trainer()), StateBefore);
+  EXPECT_EQ(Sys.agent().parameterVersion(), VersionBefore);
+}
+
+TEST(CheckpointFormatTest, CheckedInCheckpointLoadsResavesAndResumes) {
+  // tests/rl/data/trainer-format-v1.ckpt: saveCheckpoint after one
+  // trainIteration of MlirRl(fixtureOptions()) on tinyDataset(), at
+  // CheckpointFormatVersion 1. Loading it restores the whole trainer, so
+  // a later in-memory layout (parameter arenas, sparse observations)
+  // must still read it and write it back unchanged; a format change
+  // bumps the version and migrates this file.
+  const std::string Fixture =
+      std::string(MLIRRL_SOURCE_DIR) + "/tests/rl/data/trainer-format-v1.ckpt";
+  Expected<std::vector<uint8_t>> FixtureBytes = readFileBytes(Fixture);
+  ASSERT_TRUE(FixtureBytes.hasValue()) << FixtureBytes.getError();
+
+  MlirRl Sys(fixtureOptions());
+  Expected<bool> Loaded = loadCheckpoint(Sys.trainer(), Fixture);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.getError();
+  EXPECT_EQ(Sys.trainer().iterationsDone(), 1u);
+
+  const std::string Resaved = "checkpoint_format_resave.ckpt";
+  ASSERT_TRUE(saveCheckpoint(Sys.trainer(), Resaved).hasValue());
+  Expected<std::vector<uint8_t>> ResavedBytes = readFileBytes(Resaved);
+  std::remove(Resaved.c_str());
+  ASSERT_TRUE(ResavedBytes.hasValue());
+  expectSameBytes(*ResavedBytes, *FixtureBytes);
+
+  std::vector<Module> Data = tinyDataset();
+  PpoIterationStats Next = Sys.trainer().trainIteration(Data);
+  EXPECT_GT(Next.StepsCollected, 0u);
+  EXPECT_TRUE(std::isfinite(Next.PolicyLoss));
+  EXPECT_TRUE(std::isfinite(Next.ValueLoss));
+  EXPECT_TRUE(std::isfinite(Next.Entropy));
+  EXPECT_EQ(Sys.trainer().iterationsDone(), 2u);
 }

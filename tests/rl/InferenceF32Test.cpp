@@ -73,30 +73,26 @@ TEST_F(InferenceF32Fixture, PackedLogitsMatchDoubleForwardWithinRelError) {
   Observation Obs = Env.observe();
   std::vector<const Observation *> Batch = {&Obs};
 
-  PolicyNet::Heads H64 = Policy.forward(Batch);
-  PolicyNet::Logits<float> H32 = Policy.forwardLogits(
-      *PolicyNet::compressRows(Batch, &Observation::Producer),
-      *PolicyNet::compressRows(Batch, &Observation::Consumer),
-      Packed.values());
+  std::shared_ptr<const nn::SparseRows> Producer =
+      PolicyNet::compressRows(Batch, &Observation::Producer);
+  std::shared_ptr<const nn::SparseRows> Consumer =
+      PolicyNet::compressRows(Batch, &Observation::Consumer);
+  PolicyNet::Logits<double> H64 = Policy.forwardLogits(
+      *Producer, *Consumer, nn::valuesOf(Policy.parameters()));
+  PolicyNet::Logits<float> H32 =
+      Policy.forwardLogits(*Producer, *Consumer, Packed.values());
 
-  ASSERT_EQ(H32.Transform.Rows, 1u);
-  ASSERT_EQ(H32.Transform.Cols, H64.TransformLogits.cols());
-  for (unsigned J = 0; J < H32.Transform.Cols; ++J)
-    expectNearRel(H32.Transform.at(0, J), H64.TransformLogits.at(0, J),
-                  kLogitTol);
-
-  ASSERT_EQ(H32.Tile.size(), H64.TileLogits.size());
-  for (unsigned Head = 0; Head < H32.Tile.size(); ++Head) {
-    ASSERT_EQ(H32.Tile[Head].Cols, H64.TileLogits[Head].cols());
-    for (unsigned J = 0; J < H32.Tile[Head].Cols; ++J)
-      expectNearRel(H32.Tile[Head].at(0, J), H64.TileLogits[Head].at(0, J),
-                    kLogitTol);
-  }
-
-  ASSERT_EQ(H32.Interchange.Cols, H64.InterchangeLogits.cols());
-  for (unsigned J = 0; J < H32.Interchange.Cols; ++J)
-    expectNearRel(H32.Interchange.at(0, J), H64.InterchangeLogits.at(0, J),
-                  kLogitTol);
+  auto ExpectNear = [](const nn::Mat<float> &F32, const nn::Mat<double> &F64) {
+    ASSERT_EQ(F32.Rows, 1u);
+    ASSERT_EQ(F32.Cols, F64.Cols);
+    for (unsigned J = 0; J < F32.Cols; ++J)
+      expectNearRel(F32.at(0, J), F64.at(0, J), kLogitTol);
+  };
+  ExpectNear(H32.Transform, H64.Transform);
+  ASSERT_EQ(H32.Tile.size(), H64.Tile.size());
+  for (unsigned Head = 0; Head < H32.Tile.size(); ++Head)
+    ExpectNear(H32.Tile[Head], H64.Tile[Head]);
+  ExpectNear(H32.Interchange, H64.Interchange);
 }
 
 TEST_F(InferenceF32Fixture, GreedyEpisodeMatchesF64StepByStep) {

@@ -135,16 +135,25 @@ TEST_F(ChainFixture, TamperedNestRejected) {
               "tile loop (dim 0, trip 9, step 8) trip is not ceil(64 / 8)");
   }
   {
-    // Mark a reduction loop parallel.
-    LoopNest Bad = *Nest;
+    // Mark a reduction tile loop parallel. Sched leaves the reduction
+    // dim untiled, so this nest tiles it too.
+    OpSchedule Reduce = schedOf({Transformation::tiling({8, 8, 8})});
+    Expected<LoopNest> Tiled = materializeLoopNestChecked(M, 0, Reduce);
+    ASSERT_TRUE(static_cast<bool>(Tiled)) << Tiled.getError();
+    ASSERT_TRUE(checkLoopNest(M, 0, Reduce, *Tiled, Err)) << Err;
+    LoopNest Bad = *Tiled;
     bool Flipped = false;
-    for (ScheduledLoop &L : Bad.OuterBand)
-      if (L.Kind == IteratorKind::Reduction && !Flipped) {
+    for (ScheduledLoop &L : Bad.OuterBand) {
+      if (L.Kind == IteratorKind::Reduction) {
         L.Parallel = true;
         Flipped = true;
+        break;
       }
-    if (Flipped)
-      EXPECT_FALSE(checkLoopNest(M, 0, Sched, Bad, Err));
+    }
+    ASSERT_TRUE(Flipped);
+    EXPECT_FALSE(checkLoopNest(M, 0, Reduce, Bad, Err));
+    EXPECT_EQ(Err, "outer-band loop (dim 2, trip 12, step 8) parallelizes a "
+                   "reduction");
   }
   {
     // Vectorize a non-innermost loop.
@@ -251,6 +260,20 @@ TEST_F(ChainFixture, CorruptFusedAwayBookkeepingRejected) {
       .FusedProducers.clear();
   EXPECT_FALSE(verifyScheduleState(Fused, Err));
   EXPECT_EQ(Err, "fused-away op 0 claimed by 0 live groups");
+}
+
+TEST_F(ChainFixture, FirstBookkeepingFailureSurvivesPerOpChecks) {
+  // A consumer that lists its fused producer twice breaks two checks:
+  // the fused-away claim count, checked first, and the per-op
+  // duplicate-producer check after it. The first one is reported.
+  ScheduleState Fused(M);
+  Fused.apply(1, Transformation::tiledFusion({8, 0}), 0);
+  const_cast<ModuleSchedule &>(Fused.getSchedule())
+      .OpSchedules[1]
+      .FusedProducers = {0, 0};
+  std::string Err;
+  EXPECT_FALSE(verifyScheduleState(Fused, Err));
+  EXPECT_EQ(Err, "fused-away op 0 claimed by 2 live groups");
 }
 
 TEST_F(ChainFixture, StaleCachedNestRejected) {
