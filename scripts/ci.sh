@@ -173,19 +173,21 @@ fi
 # suite (including the reload and three-way race hammers), the
 # determinism matrix (thread-count sweeps), GemmTest (row-partitioned
 # GEMMs over pools of 2 and 4, with thread_local pack arenas feeding the
-# shared "gemm.pack_arena" counters), and the dedicated TSan stress
-# test. halt_on_error=1 turns the first report into a failure;
-# there is no suppression file -- the repo's benign sharing is already
-# expressed as relaxed atomics, so every report is treated as a real
-# bug. TSan costs roughly an order of magnitude at runtime, which is
-# why this is a subset (the tests themselves also shrink iteration
-# counts via support/TsanAnnotations.h) and why the whole pass runs
-# under one ctest timeout per test instead of an open-ended suite.
+# shared "gemm.pack_arena" counters), OptimizerTest (Adam, zeroGrad and
+# the clip scale over row chunks on pools of 2 and 4), and the
+# dedicated TSan stress test. halt_on_error=1 turns the first report
+# into a failure; there is no suppression file -- the repo's benign
+# sharing is already expressed as relaxed atomics, so every report is
+# treated as a real bug. TSan costs roughly an order of magnitude at
+# runtime, which is why this is a subset (the tests themselves also
+# shrink iteration counts via support/TsanAnnotations.h) and why the
+# whole pass runs under one ctest timeout per test instead of an
+# open-ended suite.
 if [[ "$sanitize" == thread ]]; then
   cmake -B build-tsan -S . -DMLIRRL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$(nproc)"
-  tsan_subset='support/TsanStressTest|support/StatsTest|perf/StripedLruTest|serve/ServeTest|serve/ServeReloadTest|serve/ServeRaceTest|rl/DeterminismMatrixTest|rl/ParallelDeterminismTest|nn/GemmTest'
+  tsan_subset='support/TsanStressTest|support/StatsTest|perf/StripedLruTest|serve/ServeTest|serve/ServeReloadTest|serve/ServeRaceTest|rl/DeterminismMatrixTest|rl/ParallelDeterminismTest|nn/GemmTest|nn/OptimizerTest'
   (cd build-tsan &&
      TSAN_OPTIONS=halt_on_error=1 \
      ctest --output-on-failure --timeout 900 -j "$(nproc)" \

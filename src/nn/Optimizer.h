@@ -4,6 +4,36 @@
 /// Adam (used by PPO, as in the paper's training setup) and plain SGD,
 /// plus gradient clipping by global norm for stable policy updates.
 ///
+/// Adam::step, zeroGradients and clipGradNorm's scale pass each make one
+/// pass over fixed chunks of whole rows (at most 8192 elements) of every
+/// parameter, spread over the pool installed with setGemmPool
+/// (nn/Gemm.h) when there is one. Their results are bitwise those of a
+/// serial element-by-element sweep:
+///
+/// - **Skipping a row is exact.** Adam::step skips a row whose gradient
+///   and two moments are all +0.0: its moments stay +0.0
+///   (b*0 + (1-b)*0), and its parameter step
+///   lr*(0/Bias1) / (sqrt(0/Bias2) + eps) is +0.0, which leaves every
+///   value, -0.0 included, unchanged. The test reads bit patterns, so a
+///   -0.0 entry makes the row nonzero. Adam::step checks the identity
+///   once per call on a zeroed element and sweeps every row when a
+///   hyperparameter breaks it (eps = 0 makes 0/0).
+/// - **Chunks fix the result for any thread count.** The chunking
+///   depends only on the parameter shapes, chunks are disjoint (so a
+///   parameter list must not name a tensor twice), and an element's
+///   arithmetic reads only its own entries, so no assignment of chunks
+///   to threads can change a bit. Adam's SIMD body repeats the
+///   scalar element expression lane for lane (same operands, same
+///   rounding and fused multiply-add points); the scalar loop runs the
+///   sub-vector tails and targets without a vector square root.
+/// - **The norm stays one serial sum.** The compiler emits it as
+///   in-order adds of rounded squares over each tensor's 4-wide body
+///   and fused multiply-adds over the tail. Any reordering or split of
+///   the sum, or a skip of zero rows that moves elements between body
+///   and tail, changes its rounding, and with it the clip scale and
+///   every later step. So it runs on the calling thread, in parameter
+///   order, as it always has.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MLIRRL_NN_OPTIMIZER_H

@@ -2,7 +2,6 @@
 
 #include "nn/Tensor.h"
 
-#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -46,10 +45,6 @@ Tensor Tensor::parameter(unsigned Rows, unsigned Cols,
 double Tensor::item() const {
   assert(size() == 1 && "item() requires a scalar tensor");
   return Node->Data[0];
-}
-
-void Tensor::zeroGrad() const {
-  std::fill(Node->Grad.begin(), Node->Grad.end(), 0.0);
 }
 
 void Tensor::backward() const {

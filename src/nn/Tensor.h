@@ -89,9 +89,6 @@ public:
   /// Runs reverse-mode accumulation from this scalar node (must be 1x1).
   void backward() const;
 
-  /// Zeroes the gradient buffer of this node only.
-  void zeroGrad() const;
-
 private:
   friend Tensor makeNode(unsigned Rows, unsigned Cols,
                          std::vector<Tensor> Inputs, const char *Op);

@@ -197,8 +197,13 @@ void PpoTrainer::update(PpoIterationStats &Stats) {
 
       Optimizer.zeroGrad();
       Loss.backward();
-      clipGradNorm(Agent.parameters(), Config.MaxGradNorm);
-      Optimizer.step();
+      // An Inf or NaN gradient would reach every parameter through the
+      // step (and Adam's moments would keep it), so the minibatch is
+      // dropped instead.
+      if (std::isfinite(clipGradNorm(Agent.parameters(), Config.MaxGradNorm)))
+        Optimizer.step();
+      else
+        recordRobustnessEvent(RobustnessEvent::NonFiniteUpdate);
 
       PolicyLossAcc += PolicyLoss.item();
       ValueLossAcc += ValueLoss.item();

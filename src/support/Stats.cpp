@@ -124,6 +124,8 @@ const char *mlirrl::getRobustnessEventName(RobustnessEvent Event) {
     return "robustness.server_queue_full";
   case RobustnessEvent::ServerShutdown:
     return "robustness.server_shutdown";
+  case RobustnessEvent::NonFiniteUpdate:
+    return "robustness.nonfinite_update";
   }
   return "robustness.unknown";
 }

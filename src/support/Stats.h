@@ -230,6 +230,9 @@ enum class RobustnessEvent {
   ServerQueueFull,
   /// A server request was rejected because the server was shutting down.
   ServerShutdown,
+  /// A PPO minibatch's gradient norm was not finite, so its optimizer
+  /// step was skipped.
+  NonFiniteUpdate,
 };
 
 /// Stable category name of \p Event ("robustness.<event>").

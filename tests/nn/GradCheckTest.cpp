@@ -69,7 +69,7 @@ void checkParam(const Tensor &P, const std::function<double()> &Loss) {
 void checkGradient(const Tensor &Param,
                    const std::function<Tensor()> &BuildLoss) {
   Tensor Loss = BuildLoss();
-  Param.zeroGrad();
+  zeroGradients({Param});
   Loss.backward();
   checkParam(Param, [&] { return BuildLoss().item(); });
 }

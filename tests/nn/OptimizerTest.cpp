@@ -1,11 +1,16 @@
 //===- OptimizerTest.cpp - Tests for Adam / SGD and training dynamics -------===//
 
+#include "nn/Gemm.h"
 #include "nn/Ops.h"
 #include "nn/Optimizer.h"
+#include "support/Rng.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 using namespace mlirrl;
 using namespace mlirrl::nn;
@@ -83,4 +88,197 @@ TEST(OptimizerTest, LinearRegressionConverges) {
     Opt.step();
   }
   EXPECT_NEAR(Predict(5.0).item(), 9.0, 0.05);
+}
+
+namespace {
+
+/// Parameter shapes covering every sub-vector tail (1, 3 and 5 columns)
+/// and the network's row widths (48, 72), with enough rows that the
+/// large ones span several chunks.
+const std::vector<std::pair<unsigned, unsigned>> ExactnessShapes = {
+    {9000, 1}, {40, 3}, {33, 5}, {1100, 48}, {150, 72}};
+
+std::vector<Tensor> makeParams(uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<Tensor> Params;
+  for (auto [Rows, Cols] : ExactnessShapes) {
+    std::vector<double> Values(static_cast<size_t>(Rows) * Cols);
+    for (double &V : Values)
+      V = R.nextBernoulli(0.05) ? -0.0 : R.nextGaussian();
+    Params.push_back(Tensor::parameter(Rows, Cols, std::move(Values)));
+  }
+  return Params;
+}
+
+/// Fills the gradients for update \p Step. Rows fall in five classes by
+/// index: never touched (gradient and moments stay +0.0), touched only
+/// in the first two steps (zero gradient over live moments later), all
+/// -0.0 or +0.0 with no nonzero entry, and two classes of Gaussian
+/// gradients with exact zeros and -0.0 sprinkled in.
+void fillGradients(const std::vector<Tensor> &Params, unsigned Step,
+                   uint64_t Seed) {
+  Rng R(Rng::deriveSeed(Seed, Step));
+  for (const Tensor &P : Params) {
+    DBuffer &G = P.node()->Grad;
+    for (unsigned Row = 0; Row < P.rows(); ++Row)
+      for (unsigned Col = 0; Col < P.cols(); ++Col) {
+        double &E = G[static_cast<size_t>(Row) * P.cols() + Col];
+        switch (Row % 5) {
+        case 0:
+          E = 0.0;
+          break;
+        case 1:
+          E = Step < 2 ? R.nextGaussian() : 0.0;
+          break;
+        case 2:
+          E = R.nextBernoulli(0.5) ? -0.0 : 0.0;
+          break;
+        default:
+          E = R.nextBernoulli(0.2)   ? 0.0
+              : R.nextBernoulli(0.1) ? -0.0
+                                     : R.nextGaussian() * 1e-3;
+          break;
+        }
+      }
+  }
+}
+
+/// Starting moments: +0.0, except for a -0.0 entry at the start of
+/// every third never-touched row (\p Which picks which third). Such a
+/// row is not all zero: stepping it turns the -0.0 into +0.0, so a row
+/// test on values instead of bits would show.
+std::vector<std::vector<double>> startMoments(const std::vector<Tensor> &Params,
+                                              unsigned Which) {
+  std::vector<std::vector<double>> Moments;
+  for (const Tensor &P : Params) {
+    Moments.emplace_back(P.size(), 0.0);
+    for (unsigned Row = 0; Row < P.rows(); Row += 5)
+      if ((Row / 5) % 3 == Which)
+        Moments.back()[static_cast<size_t>(Row) * P.cols()] = -0.0;
+  }
+  return Moments;
+}
+
+/// Adam::step's element loop as it was before chunking and SIMD,
+/// verbatim: the bitwise reference.
+struct ReferenceAdam {
+  double LearningRate, Beta1, Beta2, Epsilon;
+  unsigned StepCount = 0;
+  std::vector<std::vector<double>> FirstMoment, SecondMoment;
+
+  void step(const std::vector<Tensor> &Params) {
+    ++StepCount;
+    double Bias1 = 1.0 - std::pow(Beta1, StepCount);
+    double Bias2 = 1.0 - std::pow(Beta2, StepCount);
+    for (size_t I = 0; I < Params.size(); ++I) {
+      TensorNode &Node = *Params[I].node();
+      std::vector<double> &M = FirstMoment[I];
+      std::vector<double> &V = SecondMoment[I];
+      for (size_t J = 0; J < Node.Data.size(); ++J) {
+        double G = Node.Grad[J];
+        M[J] = Beta1 * M[J] + (1.0 - Beta1) * G;
+        V[J] = Beta2 * V[J] + (1.0 - Beta2) * G * G;
+        double MHat = M[J] / Bias1;
+        double VHat = V[J] / Bias2;
+        Node.Data[J] -= LearningRate * MHat / (std::sqrt(VHat) + Epsilon);
+      }
+    }
+  }
+};
+
+template <typename A, typename B> bool sameBits(const A &X, const B &Y) {
+  return X.size() == Y.size() &&
+         std::memcmp(X.data(), Y.data(), X.size() * sizeof(double)) == 0;
+}
+
+/// Installs a pool of \p Threads as the update pool for the scope.
+struct ScopedUpdatePool {
+  explicit ScopedUpdatePool(unsigned Threads) : Pool(Threads) {
+    setGemmPool(&Pool);
+  }
+  ~ScopedUpdatePool() { setGemmPool(nullptr); }
+  ThreadPool Pool;
+};
+
+} // namespace
+
+TEST(OptimizerTest, AdamStepMatchesScalarReferenceBitwise) {
+  // Epsilon 0 turns a zero row's step into 0/0 = NaN, so skipping zero
+  // rows would no longer be exact: the optimizer must notice and sweep
+  // them, NaNs and all.
+  for (double Epsilon : {1e-8, 0.0})
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "Epsilon " << Epsilon << ", " << Threads << " threads");
+      ScopedUpdatePool Scope(Threads);
+      std::vector<Tensor> Params = makeParams(7);
+      std::vector<Tensor> RefParams = makeParams(7);
+      Adam Opt(Params, 3e-4, 0.9, 0.999, Epsilon);
+      ReferenceAdam Ref{3e-4, 0.9, 0.999, Epsilon, 0,
+                        startMoments(Params, 1), startMoments(Params, 2)};
+      ASSERT_TRUE(Opt.setState({0, Ref.FirstMoment, Ref.SecondMoment}));
+      for (unsigned Step = 0; Step < 6; ++Step) {
+        fillGradients(Params, Step, 11);
+        fillGradients(RefParams, Step, 11);
+        Opt.step();
+        Ref.step(RefParams);
+        for (size_t I = 0; I < Params.size(); ++I)
+          ASSERT_TRUE(sameBits(Params[I].data(), RefParams[I].data()))
+              << "parameter " << I << " after step " << Step;
+      }
+      for (size_t I = 0; I < Params.size(); ++I) {
+        EXPECT_TRUE(sameBits(Opt.firstMoments()[I], Ref.FirstMoment[I]))
+            << "first moment " << I;
+        EXPECT_TRUE(sameBits(Opt.secondMoments()[I], Ref.SecondMoment[I]))
+            << "second moment " << I;
+      }
+    }
+}
+
+TEST(OptimizerTest, GradClipMatchesSerialReferenceBitwise) {
+  // A negative bound flips every sign, +0.0 entries included, so a
+  // scale pass that left zero rows alone would show.
+  for (double MaxNorm : {0.25, -0.25}) {
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "MaxNorm " << MaxNorm << ", "
+                                      << Threads << " threads");
+      ScopedUpdatePool Scope(Threads);
+      std::vector<Tensor> Params = makeParams(3);
+      fillGradients(Params, 0, 5);
+      double SumSq = 0.0;
+      for (const Tensor &P : Params)
+        for (double G : P.grad())
+          SumSq += G * G;
+      double ExpectedNorm = std::sqrt(SumSq);
+      double Scale = MaxNorm / ExpectedNorm;
+      std::vector<DBuffer> Expected;
+      for (const Tensor &P : Params) {
+        Expected.push_back(P.grad());
+        for (double &G : Expected.back())
+          G *= Scale;
+      }
+
+      double Norm = clipGradNorm(Params, MaxNorm);
+      EXPECT_EQ(std::memcmp(&Norm, &ExpectedNorm, sizeof(double)), 0);
+      for (size_t I = 0; I < Params.size(); ++I)
+        EXPECT_TRUE(sameBits(Params[I].grad(), Expected[I]))
+            << "param " << I;
+    }
+  }
+}
+
+TEST(OptimizerTest, ZeroGradLeavesEveryEntryPositiveZero) {
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << Threads << " threads");
+    ScopedUpdatePool Scope(Threads);
+    std::vector<Tensor> Params = makeParams(9);
+    Adam Opt(Params);
+    for (unsigned Step = 0; Step < 3; ++Step) {
+      fillGradients(Params, Step, 13);
+      Opt.zeroGrad();
+      for (const Tensor &P : Params)
+        for (double G : P.grad())
+          ASSERT_EQ(std::bit_cast<uint64_t>(G), 0u);
+    }
+  }
 }

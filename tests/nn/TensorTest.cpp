@@ -1,6 +1,7 @@
 //===- TensorTest.cpp - Tests for the autograd engine -----------------------===//
 
 #include "nn/Ops.h"
+#include "nn/Optimizer.h"
 #include "nn/Tensor.h"
 
 #include <gtest/gtest.h>
@@ -65,7 +66,7 @@ TEST(TensorTest, ZeroGradClears) {
   Tensor F = sumAll(hadamard(A, A));
   F.backward();
   EXPECT_NE(A.grad()[0], 0.0);
-  A.zeroGrad();
+  zeroGradients({A});
   EXPECT_DOUBLE_EQ(A.grad()[0], 0.0);
 }
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 using namespace mlirrl;
 
 namespace {
@@ -124,4 +127,34 @@ TEST(PpoTest, EnumeratedInterchangeTrains) {
   std::vector<Module> Data = {makeMatmulModule(256, 256, 256)};
   Sys.train(Data);
   EXPECT_GT(Sys.optimize(Data[0]), 0.5);
+}
+
+TEST(PpoTest, NonFiniteGradientSkipsTheOptimizerStep) {
+  // A NaN value-head bias makes every value, advantage, loss and
+  // gradient norm NaN. Stepping on it would write NaN into the
+  // parameters; the trainer drops each minibatch instead and counts it.
+  MlirRlOptions O = tinyOptions();
+  MlirRl Sys(O);
+  std::vector<Module> Data = {makeMatmulModule(64, 64, 64)};
+  std::vector<nn::Tensor> Params = Sys.agent().parameters();
+  Params.back().node()->Data[0] = std::numeric_limits<double>::quiet_NaN();
+  Sys.agent().invalidateInferenceCache();
+  std::vector<nn::DBuffer> Before;
+  for (const nn::Tensor &P : Params)
+    Before.push_back(P.data());
+  HitMissCounters &Skips = robustnessCounter(RobustnessEvent::NonFiniteUpdate);
+  uint64_t SkipsBefore = Skips.Misses.load();
+
+  PpoIterationStats Stats = Sys.trainer().trainIteration(Data);
+
+  for (size_t I = 0; I < Params.size(); ++I)
+    EXPECT_EQ(std::memcmp(Params[I].data().data(), Before[I].data(),
+                          Before[I].size() * sizeof(double)),
+              0)
+        << "parameter " << I << " changed";
+  const unsigned Minibatches =
+      O.Ppo.UpdateEpochs * ((Stats.StepsCollected + O.Ppo.MinibatchSize - 1) /
+                            O.Ppo.MinibatchSize);
+  EXPECT_GT(Minibatches, 0u);
+  EXPECT_EQ(Skips.Misses.load() - SkipsBefore, Minibatches);
 }
