@@ -41,6 +41,43 @@ esac
 python3 tools/lint/lint.py --self-test
 python3 tools/lint/lint.py
 
+# --- PERF.md quotes the committed benchmark records verbatim --------------
+# Every fenced block in PERF.md that starts with
+# "$ python3 perfbench/compare.py \" and two bench/records/ paths must
+# hold exactly what compare.py prints for those records today, so the
+# tables stay generated from the committed records, never retyped.
+python3 - <<'EOF'
+import subprocess, sys
+
+blocks, block = [], None
+for line in open("PERF.md").read().split("\n"):
+    if line.startswith("```"):
+        if block is None:
+            block = []
+        else:
+            blocks.append(block)
+            block = None
+    elif block is not None:
+        block.append(line)
+
+checked = 0
+for lines in blocks:
+    paths = [l.strip().rstrip(" \\") for l in lines[1:3]]
+    if lines[:1] != ["$ python3 perfbench/compare.py \\"] or len(paths) != 2 \
+            or not all(p.startswith("bench/records/") for p in paths):
+        continue
+    printed = subprocess.run(["python3", "perfbench/compare.py", *paths],
+                             capture_output=True, text=True,
+                             check=True).stdout
+    if printed != "\n".join(lines[3:]) + "\n":
+        sys.exit("error: PERF.md's compare.py quote of %s and %s differs "
+                 "from compare.py's output" % tuple(paths))
+    checked += 1
+if checked == 0:
+    sys.exit("error: PERF.md quotes no compare.py run over bench/records/")
+print("PERF.md: %d compare.py quotes match their records" % checked)
+EOF
+
 # --- Guard: no build artifacts in the index -------------------------------
 if git ls-files | grep -E '^build/|\.o$' >/dev/null; then
   echo "error: build artifacts are tracked by git:" >&2

@@ -151,9 +151,6 @@ public:
   /// aggregated over shards. Relaxed snapshot; safe to read while
   /// collectors are running.
   HitMissCounters getOpCounters() const { return PerOp.counters(); }
-  /// Shard-lock acquisition statistics (total vs. contended), the
-  /// striping-effectiveness evidence the benches record.
-  ContentionCounters getOpContention() const { return PerOp.contention(); }
 
 protected:
   /// timeState hook: a per-op memo lookup keyed by

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -31,25 +32,6 @@ void ckpt::writeTensor(ArchiveWriter &W, const nn::Tensor &T) {
   W.writeU32(T.rows());
   W.writeU32(T.cols());
   W.writeDoubles(T.data().data(), T.data().size());
-}
-
-bool ckpt::readTensorInto(ChunkReader &R, const nn::Tensor &T,
-                          std::string &Error) {
-  unsigned Rows = R.readU32();
-  unsigned Cols = R.readU32();
-  std::vector<double> Data = R.readDoubles();
-  if (!R.ok()) {
-    Error = R.error();
-    return false;
-  }
-  if (Rows != T.rows() || Cols != T.cols() || Data.size() != T.size()) {
-    Error = "tensor shape mismatch: archive has " + std::to_string(Rows) +
-            "x" + std::to_string(Cols) + ", destination is " +
-            std::to_string(T.rows()) + "x" + std::to_string(T.cols());
-    return false;
-  }
-  T.node()->Data.assign(Data.begin(), Data.end());
-  return true;
 }
 
 Expected<nn::Tensor> ckpt::readTensor(ChunkReader &R) {
@@ -188,8 +170,20 @@ RolloutStep ckpt::readRolloutStep(ChunkReader &R) {
 // Agent parameters
 //===----------------------------------------------------------------------===//
 
+/// "" when every entry of \p Values is finite, else an error naming
+/// \p What and its first non-finite element.
+static std::string nonFiniteError(const std::string &What,
+                                  const std::vector<double> &Values) {
+  for (size_t I = 0; I < Values.size(); ++I)
+    if (!std::isfinite(Values[I]))
+      return What + " holds a non-finite value (" +
+             std::to_string(Values[I]) + ") at element " + std::to_string(I);
+  return "";
+}
+
 /// Reads the parameter chunk into staged copies, checking the tensor
-/// count and every shape against \p Params; nothing is written.
+/// count, every shape and every value's finiteness against \p Params;
+/// nothing is written.
 static Expected<std::vector<std::vector<double>>>
 stageParameters(const ArchiveReader &Reader,
                 const std::vector<nn::Tensor> &Params) {
@@ -218,6 +212,10 @@ stageParameters(const ArchiveReader &Reader,
           std::to_string(Params[I].rows()) + "x" +
           std::to_string(Params[I].cols()) +
           " in the agent (checkpoint from a different architecture?)");
+    std::string Bad =
+        nonFiniteError("parameter " + std::to_string(I), NewData[I]);
+    if (!Bad.empty())
+      return makeError<Staged>(Bad);
   }
   return NewData;
 }
@@ -321,11 +319,19 @@ Expected<bool> PpoTrainer::restoreState(const ArchiveReader &Reader) {
     V = Adm->readDoubles();
   if (!Adm->ok())
     return makeError<bool>("Adam chunk: " + Adm->error());
-  for (size_t I = 0; I < Params.size(); ++I)
+  for (size_t I = 0; I < Params.size(); ++I) {
     if (AdamState.FirstMoment[I].size() != Params[I].size() ||
         AdamState.SecondMoment[I].size() != Params[I].size())
       return makeError<bool>("Adam moment " + std::to_string(I) +
                              " does not match its parameter's size");
+    std::string Bad = nonFiniteError("Adam first moment " + std::to_string(I),
+                                     AdamState.FirstMoment[I]);
+    if (Bad.empty())
+      Bad = nonFiniteError("Adam second moment " + std::to_string(I),
+                           AdamState.SecondMoment[I]);
+    if (!Bad.empty())
+      return makeError<bool>(Bad);
+  }
 
   Expected<ChunkReader> RngChunk = Reader.chunk(kRngTag);
   if (!RngChunk)

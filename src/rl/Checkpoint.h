@@ -11,10 +11,10 @@
 /// parameters, moments, RNG states and iteration statistics as an
 /// uninterrupted train(N) (CheckpointResumeTest).
 ///
-/// Restores are all-or-nothing: every chunk is CRC- and shape-validated
-/// before a single byte of trainer state changes, so a corrupt or
-/// mismatched archive fails with a clean error and an untouched
-/// trainer.
+/// Restores are all-or-nothing: every chunk is CRC- and shape-validated,
+/// and every parameter and Adam moment checked finite, before a single
+/// byte of trainer state changes, so a corrupt, mismatched or non-finite
+/// archive fails with a clean error and an untouched trainer.
 ///
 /// CheckpointManager adds production file handling on top: atomic
 /// temp-file + rename writes (a crash never leaves a torn checkpoint
@@ -44,15 +44,10 @@ constexpr uint32_t CheckpointFormatVersion = 1;
 /// Component serializers, shared between the trainer state code and the
 /// round-trip tests. Writers append to the archive's open chunk;
 /// readers flag malformed payloads through the ChunkReader's sticky
-/// error (and the *Into variants additionally shape-check).
+/// error.
 namespace ckpt {
 
 void writeTensor(serialize::ArchiveWriter &W, const nn::Tensor &T);
-/// Reads a tensor written by writeTensor into \p T. Returns false
-/// (with \p Error set, \p T untouched) on shape mismatch or a
-/// malformed payload.
-bool readTensorInto(serialize::ChunkReader &R, const nn::Tensor &T,
-                    std::string &Error);
 /// Reads a tensor written by writeTensor as a fresh constant tensor.
 Expected<nn::Tensor> readTensor(serialize::ChunkReader &R);
 
@@ -81,9 +76,9 @@ Expected<bool> loadCheckpoint(PpoTrainer &Trainer, const std::string &Path,
 
 /// Restores only the agent parameters of the checkpoint at \p Path: the
 /// frozen-policy load of a server, which has no trainer. Validates the
-/// parameter chunk (tensor count and shapes) before writing anything,
-/// then drops the agent's packed inference cache. On failure the agent
-/// is untouched.
+/// parameter chunk (tensor count, shapes and finite values) before
+/// writing anything, then drops the agent's packed inference cache. On
+/// failure the agent is untouched.
 Expected<bool> loadAgentParameters(ActorCritic &Agent, const std::string &Path);
 
 /// Rotating checkpoint files for long trainings: save() writes

@@ -23,10 +23,8 @@ MlirRl::MlirRl(MlirRlOptions Options)
       // The memo is only sound over a deterministic inner evaluator:
       // with noise on, every entry would freeze one draw, so the
       // trainer falls back to the bare Runner.
-      Memo(Options.MemoizeEvaluations && !Options.Runner.Noise
-               ? std::make_unique<CachingEvaluator>(
-                     Run, CachingEvaluator::DefaultCapacity, Options.MemoShards)
-               : nullptr),
+      Memo(Options.Runner.Noise ? nullptr
+                                : std::make_unique<CachingEvaluator>(Run)),
       Agent(Options.Env, Featurizer(Options.Env).featureSize(), Options.Net,
             Options.Seed),
       Trainer(Agent, evaluator(), Options.Ppo) {

@@ -39,19 +39,6 @@ struct MlirRlOptions {
   /// tests/rl/InferenceF32Test). Training is unaffected either way.
   InferenceDtype Inference = InferenceDtype::F64;
 
-  /// Memoize prices in one lock-striped CachingEvaluator wrapped around
-  /// the Runner and shared by every collector thread and VecEnv group
-  /// (the per-op table of perf/Evaluator.h, which answers every
-  /// episode's baseline and every step's dirty op). On by default;
-  /// automatically disabled when Runner.Noise is set, since caching a
-  /// noisy measurement would freeze one draw forever. Values are
-  /// deterministic, so training trajectories are bitwise-identical
-  /// with the memo on or off (DeterminismMatrixTest sweeps both).
-  bool MemoizeEvaluations = true;
-  /// Lock stripes of the memo table (rounded up to a power of two;
-  /// 1 = the global-lock baseline).
-  unsigned MemoShards = 16;
-
   /// A small, fast preset for laptop-scale experiments (same
   /// architecture, narrower nets, fewer samples per iteration).
   static MlirRlOptions laptop();
@@ -78,17 +65,20 @@ public:
   const MlirRlOptions &options() const { return Options; }
 
   /// The evaluator the trainer measures through: the shared striped
-  /// CachingEvaluator when memoization is active, else the Runner.
+  /// CachingEvaluator, or the bare Runner when Runner.Noise is set.
   Evaluator &evaluator() { return Memo ? static_cast<Evaluator &>(*Memo)
                                        : static_cast<Evaluator &>(Run); }
-  /// The shared memo (nullptr when memoization is off or noise is on).
+  /// The shared memo (nullptr when Runner.Noise is set).
   CachingEvaluator *memo() { return Memo.get(); }
 
 private:
   MlirRlOptions Options;
   Runner Run;
-  /// One striped memo shared across all collector threads; constructed
-  /// before the trainer, which holds a reference into it.
+  /// One lock-striped price memo (perf/Evaluator.h's per-op table)
+  /// shared by every collector thread and VecEnv group; constructed
+  /// before the trainer, which holds a reference into it. Prices are
+  /// deterministic, so trajectories are bitwise-identical with or
+  /// without it at any shard count (DeterminismMatrixTest).
   std::unique_ptr<CachingEvaluator> Memo;
   ActorCritic Agent;
   PpoTrainer Trainer;

@@ -142,8 +142,9 @@ public:
   /// is snapshotted for completeness; iteration-boundary resume never
   /// reads it back, since each iteration re-collects from scratch — it
   /// is the seam a future mid-iteration checkpoint would build on.)
-  /// restoreState validates the whole archive (CRCs, shapes) before
-  /// mutating anything: on failure the trainer is untouched.
+  /// restoreState validates the whole archive (CRCs, shapes, finite
+  /// parameters and moments) before mutating anything: on failure the
+  /// trainer is untouched.
   void saveState(serialize::ArchiveWriter &Writer) const;
   Expected<bool> restoreState(const serialize::ArchiveReader &Reader);
 

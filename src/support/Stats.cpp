@@ -20,12 +20,11 @@ CacheStatsRegistry &CacheStatsRegistry::instance() {
 }
 
 CacheStatsRegistry::Enrollment::Enrollment(const char *Category,
-                                           HitMissCounters *Counters,
-                                           ContentionCounters *Contention) {
+                                           HitMissCounters *Counters) {
   CacheStatsRegistry &R = instance();
   std::lock_guard<std::mutex> Lock(R.Mutex);
   Id = R.NextId++;
-  R.EnrolledCounters.push_back({Id, Category, Counters, Contention});
+  R.EnrolledCounters.push_back({Id, Category, Counters});
 }
 
 CacheStatsRegistry::Enrollment::~Enrollment() {
@@ -57,8 +56,7 @@ std::vector<CacheStatsRegistry::CategoryStats>
 CacheStatsRegistry::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   std::vector<CategoryStats> Result;
-  auto Fold = [&](const std::string &Category, const HitMissCounters &C,
-                  const ContentionCounters *L) {
+  auto Fold = [&](const std::string &Category, const HitMissCounters &C) {
     CategoryStats *Slot = nullptr;
     for (CategoryStats &S : Result)
       if (S.Category == Category)
@@ -70,16 +68,11 @@ CacheStatsRegistry::snapshot() const {
     Slot->Hits += C.Hits.load(std::memory_order_relaxed);
     Slot->Misses += C.Misses.load(std::memory_order_relaxed);
     Slot->Duplicates += C.Duplicates.load(std::memory_order_relaxed);
-    if (L) {
-      Slot->LockAcquisitions +=
-          L->Acquisitions.load(std::memory_order_relaxed);
-      Slot->LockContended += L->Contended.load(std::memory_order_relaxed);
-    }
   };
   for (const Enrolled &E : EnrolledCounters)
-    Fold(E.Category, *E.Counters, E.Contention);
+    Fold(E.Category, *E.Counters);
   for (const auto &[Name, Counters] : NamedCounters)
-    Fold(Name, *Counters, nullptr);
+    Fold(Name, *Counters);
   std::sort(Result.begin(), Result.end(),
             [](const CategoryStats &A, const CategoryStats &B) {
               return A.Category < B.Category;
@@ -97,11 +90,8 @@ CacheStatsRegistry::categoryStats(const char *Category) const {
 
 void CacheStatsRegistry::resetAll() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (const Enrolled &E : EnrolledCounters) {
+  for (const Enrolled &E : EnrolledCounters)
     E.Counters->reset();
-    if (E.Contention)
-      E.Contention->reset();
-  }
   for (const auto &[Name, Counters] : NamedCounters)
     Counters->reset();
 }

@@ -78,47 +78,6 @@ struct HitMissCounters {
   }
 };
 
-/// Lock-acquisition counters for striped (or otherwise mutex-guarded)
-/// shared structures: how many acquisitions there were and how many of
-/// them found the lock already held (try_lock failed and the caller had
-/// to block). The contended fraction is the direct evidence striping is
-/// (or is not) buying anything on a given host -- PERF.md records it
-/// next to the shard-sweep micro-bench.
-struct ContentionCounters {
-  std::atomic<uint64_t> Acquisitions{0};
-  std::atomic<uint64_t> Contended{0};
-
-  ContentionCounters() = default;
-  ContentionCounters(const ContentionCounters &Other)
-      : Acquisitions(Other.Acquisitions.load(std::memory_order_relaxed)),
-        Contended(Other.Contended.load(std::memory_order_relaxed)) {}
-  ContentionCounters &operator=(const ContentionCounters &Other) {
-    Acquisitions.store(Other.Acquisitions.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    Contended.store(Other.Contended.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    return *this;
-  }
-
-  void record(bool WasContended) {
-    Acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (WasContended)
-      Contended.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  double contendedRate() const {
-    uint64_t A = Acquisitions.load(std::memory_order_relaxed);
-    return A == 0 ? 0.0
-                  : static_cast<double>(
-                        Contended.load(std::memory_order_relaxed)) /
-                        static_cast<double>(A);
-  }
-  void reset() {
-    Acquisitions.store(0, std::memory_order_relaxed);
-    Contended.store(0, std::memory_order_relaxed);
-  }
-};
-
 /// The one place every cache in the system reports through: the
 /// CachingEvaluator's per-op price memo and the incremental repricer
 /// surface their HitMissCounters here, under a category name, with a
@@ -141,13 +100,12 @@ public:
 
   /// RAII enrollment of an instance-owned counter set. Default-constructed
   /// enrollments are inert; enrolled ones deregister on destruction.
-  /// \p Counters (and \p Contention when given -- striped tables enroll
-  /// one set per shard) must outlive the enrollment.
+  /// \p Counters must outlive the enrollment (striped tables enroll one
+  /// set per shard).
   class Enrollment {
   public:
     Enrollment() = default;
-    Enrollment(const char *Category, HitMissCounters *Counters,
-               ContentionCounters *Contention = nullptr);
+    Enrollment(const char *Category, HitMissCounters *Counters);
     ~Enrollment();
     Enrollment(const Enrollment &) = delete;
     Enrollment &operator=(const Enrollment &) = delete;
@@ -166,22 +124,12 @@ public:
     uint64_t Hits = 0;
     uint64_t Misses = 0;
     uint64_t Duplicates = 0;
-    /// Lock-contention aggregate (zero unless the category enrolled
-    /// ContentionCounters, e.g. a striped memo table).
-    uint64_t LockAcquisitions = 0;
-    uint64_t LockContended = 0;
 
     uint64_t total() const { return Hits + Misses + Duplicates; }
     double hitRate() const {
       return total() == 0 ? 0.0
                           : static_cast<double>(Hits) /
                                 static_cast<double>(total());
-    }
-    double contendedRate() const {
-      return LockAcquisitions == 0
-                 ? 0.0
-                 : static_cast<double>(LockContended) /
-                       static_cast<double>(LockAcquisitions);
     }
   };
   std::vector<CategoryStats> snapshot() const;
@@ -200,7 +148,6 @@ private:
     uint64_t Id;
     std::string Category;
     HitMissCounters *Counters;
-    ContentionCounters *Contention; // nullptr for plain caches
   };
   mutable std::mutex Mutex;
   std::vector<Enrolled> EnrolledCounters;

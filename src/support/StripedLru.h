@@ -6,9 +6,9 @@
 /// collectors stop serializing on one global mutex. Keys are 64-bit
 /// content hashes; a finalizing mix selects the shard, each shard is a
 /// small mutex-guarded intrusive LRU with its own capacity slice, and
-/// per-shard HitMissCounters / ContentionCounters are enrolled in the
-/// CacheStatsRegistry under one category (the registry aggregates
-/// across shards and instances).
+/// per-shard HitMissCounters are enrolled in the CacheStatsRegistry
+/// under one category (the registry aggregates across shards and
+/// instances).
 ///
 /// Sharing one table across threads is only sound for *deterministic*
 /// values: memoized(K, Compute) may race, and the loser of the race
@@ -66,8 +66,7 @@ public:
   /// \p Capacity is the total entry budget, divided across shards
   /// (clamped so every shard holds at least one entry). \p ShardCount
   /// is rounded up to a power of two; 1 degenerates to a classic
-  /// single-mutex LRU (the contention baseline the micro-bench sweeps
-  /// against).
+  /// single-mutex LRU.
   StripedLruMemo(const char *Category, size_t Capacity,
                  unsigned ShardCount = 8) {
     unsigned N = stripedShardCount(ShardCount);
@@ -90,7 +89,7 @@ public:
   ValueT memoized(uint64_t Key, ComputeT &&Compute) {
     Shard &S = shardFor(Key);
     {
-      std::unique_lock<std::mutex> Lock = lockShard(S);
+      std::lock_guard<std::mutex> Lock(S.Mutex);
       auto It = S.Index.find(Key);
       if (It != S.Index.end()) {
         S.HitMiss.recordHit();
@@ -101,7 +100,7 @@ public:
 
     ValueT Computed = Compute();
 
-    std::unique_lock<std::mutex> Lock = lockShard(S);
+    std::lock_guard<std::mutex> Lock(S.Mutex);
     auto It = S.Index.find(Key);
     if (It != S.Index.end()) {
       // A racer inserted the key while we computed: this lookup found a
@@ -165,25 +164,9 @@ public:
     return Total;
   }
 
-  /// Aggregate lock-acquisition snapshot over all shards (relaxed).
-  ContentionCounters contention() const {
-    ContentionCounters Total;
-    for (const auto &S : Shards) {
-      Total.Acquisitions.fetch_add(
-          S->Locks.Acquisitions.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      Total.Contended.fetch_add(
-          S->Locks.Contended.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    return Total;
-  }
-
   void resetCounters() {
-    for (auto &S : Shards) {
+    for (auto &S : Shards)
       S->HitMiss.reset();
-      S->Locks.reset();
-    }
   }
 
 private:
@@ -198,32 +181,18 @@ private:
   struct Shard {
     Shard(const char *Category, size_t Capacity)
         : Capacity(Capacity < 1 ? 1 : Capacity),
-          Stats(Category, &HitMiss, &Locks) {}
+          Stats(Category, &HitMiss) {}
 
     mutable std::mutex Mutex;
     std::list<Entry> Order; // MRU first
     std::unordered_map<uint64_t, typename std::list<Entry>::iterator> Index;
     const size_t Capacity; // fixed at construction
     HitMissCounters HitMiss;
-    ContentionCounters Locks;
     CacheStatsRegistry::Enrollment Stats;
   };
 
   Shard &shardFor(uint64_t Key) {
     return *Shards[stripedShardMix(Key) & ShardMask];
-  }
-
-  /// Acquires the shard lock on the memoized() hot path, recording
-  /// whether the acquisition had to block (try_lock probe). Maintenance
-  /// entry points (clear/size) lock directly and stay out of the
-  /// contention statistics.
-  static std::unique_lock<std::mutex> lockShard(Shard &S) {
-    std::unique_lock<std::mutex> Lock(S.Mutex, std::try_to_lock);
-    bool WasContended = !Lock.owns_lock();
-    if (WasContended)
-      Lock.lock();
-    S.Locks.record(WasContended);
-    return Lock;
   }
 
   std::vector<std::unique_ptr<Shard>> Shards;

@@ -5,7 +5,8 @@
 // save -> load -> save produce a byte-identical second archive, a
 // corrupted chunk fails with a clean error while leaving the trainer
 // bit-for-bit untouched, and a checkpoint from a different network
-// architecture or a missing file is rejected the same way. A checked-in
+// architecture, a non-finite parameter or moment, or a missing file is
+// rejected the same way. A checked-in
 // trainer checkpoint pins the format: every build must load it, re-save
 // it to the same bytes and train on from it.
 //
@@ -23,6 +24,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 using namespace mlirrl;
 using namespace mlirrl::serialize;
@@ -287,6 +289,77 @@ TEST(CheckpointTest, MissingFileFailsCleanlyAndMutatesNothing) {
   // Neither load touched the trainer or the agent's parameters.
   expectSameBytes(trainerState(Sys.trainer()), StateBefore);
   EXPECT_EQ(Sys.agent().parameterVersion(), VersionBefore);
+}
+
+TEST(CheckpointTest, NonFiniteValuesFailCleanlyAndMutateNothing) {
+  std::vector<Module> Data = tinyDataset();
+  MlirRl Source(tinyOptions());
+  Source.trainer().trainIteration(Data);
+  MlirRl Dest(tinyOptions(/*Seed=*/322));
+  Dest.trainer().trainIteration(Data);
+  // The trainer state holds every parameter's exact bits.
+  std::vector<uint8_t> StateBefore = trainerState(Dest.trainer());
+  uint64_t VersionBefore = Dest.agent().parameterVersion();
+
+  // A NaN parameter: both the server's frozen-policy load and the full
+  // trainer restore must refuse it.
+  const std::string ParamPath = "checkpoint_test_nan_param.ckpt";
+  std::vector<nn::Tensor> Params = Source.agent().parameters();
+  const double Saved = Params[2].data()[5];
+  Params[2].node()->Data[5] = std::numeric_limits<double>::quiet_NaN();
+  {
+    ArchiveWriter W(CheckpointFormatVersion);
+    Source.trainer().saveState(W);
+    ASSERT_TRUE(W.writeFile(ParamPath).hasValue());
+  }
+  Params[2].node()->Data[5] = Saved;
+
+  Expected<bool> Policy = loadAgentParameters(Dest.agent(), ParamPath);
+  ASSERT_FALSE(Policy.hasValue());
+  EXPECT_NE(Policy.getError().find("parameter 2 holds a non-finite value"),
+            std::string::npos)
+      << Policy.getError();
+  EXPECT_NE(Policy.getError().find("element 5"), std::string::npos)
+      << Policy.getError();
+  Expected<bool> Trainer = loadCheckpoint(Dest.trainer(), ParamPath);
+  ASSERT_FALSE(Trainer.hasValue());
+  EXPECT_NE(Trainer.getError().find("parameter 2 holds a non-finite value"),
+            std::string::npos)
+      << Trainer.getError();
+
+  // An infinite Adam moment over finite parameters: the reader takes the
+  // first chunk of a tag, so an Adam chunk written ahead of saveState's
+  // own one stands in for it.
+  const std::string MomentPath = "checkpoint_test_inf_moment.ckpt";
+  {
+    nn::Adam::State Adam = Source.trainer().optimizerState();
+    Adam.SecondMoment[1][3] = std::numeric_limits<double>::infinity();
+    ArchiveWriter W(CheckpointFormatVersion);
+    W.beginChunk(fourCC('A', 'D', 'M', ' '));
+    W.writeU32(Adam.StepCount);
+    W.writeU64(Adam.FirstMoment.size());
+    for (const std::vector<double> &M : Adam.FirstMoment)
+      W.writeDoubles(M);
+    for (const std::vector<double> &V : Adam.SecondMoment)
+      W.writeDoubles(V);
+    W.endChunk();
+    Source.trainer().saveState(W);
+    ASSERT_TRUE(W.writeFile(MomentPath).hasValue());
+  }
+  Expected<bool> Moments = loadCheckpoint(Dest.trainer(), MomentPath);
+  ASSERT_FALSE(Moments.hasValue());
+  EXPECT_NE(Moments.getError().find(
+                "Adam second moment 1 holds a non-finite value"),
+            std::string::npos)
+      << Moments.getError();
+  EXPECT_NE(Moments.getError().find("element 3"), std::string::npos)
+      << Moments.getError();
+
+  // No failed load touched the trainer or the agent's parameters.
+  expectSameBytes(trainerState(Dest.trainer()), StateBefore);
+  EXPECT_EQ(Dest.agent().parameterVersion(), VersionBefore);
+  std::remove(ParamPath.c_str());
+  std::remove(MomentPath.c_str());
 }
 
 TEST(CheckpointFormatTest, CheckedInCheckpointLoadsResavesAndResumes) {

@@ -7,16 +7,20 @@
 // layer landed, the incremental/from-scratch pricing axis. One
 // table-driven sweep over {BatchWidth 1, 2, 32} x {CollectThreads 1, 4}
 // x {UpdateThreads 1, 4} (incremental, the default) plus from-scratch
-// probes at the matrix corners compares full per-iteration histories
-// against the all-serial reference configuration.
+// probes at the matrix corners trains through MlirRl and compares full
+// per-iteration histories against the all-serial MlirRl reference.
 //
-// Since the lock-striped shared memo landed, the matrix also sweeps
-// CollectThreads x memo shard counts {1, 4, 16, 64} plus memo-off
-// probes: every returned price is a deterministic function of its key,
-// so the shared striped CachingEvaluator must be trajectory-invisible
-// -- identical histories whether collectors share one global-lock
-// table, 64 stripes, or no memo at all, even though cache sharing and
-// eviction order differ run to run.
+// The matrix also sweeps CollectThreads x memo shard counts {1, 4, 64}
+// plus memo-off probes: every returned price is a deterministic
+// function of its key, so the shared striped CachingEvaluator must be
+// trajectory-invisible -- identical histories whether collectors share
+// one global-lock table, 64 stripes, or no memo at all, even though
+// cache sharing and eviction order differ run to run. MlirRl always
+// builds its memo with CachingEvaluator's default 16 stripes, so these
+// probes build the same composition by hand -- a Runner, then
+// CachingEvaluator(Runner, DefaultCapacity, Shards) or the bare Runner,
+// then the ActorCritic and the PpoTrainer -- and are still compared
+// against the MlirRl reference history.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +28,11 @@
 
 #include "TestUtil.h"
 #include "datasets/DnnOps.h"
+#include "env/Featurizer.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,7 +49,8 @@ struct MatrixCase {
   /// trajectories must be bitwise-identical to the incremental default.
   bool Incremental = true;
   /// Stripes of the shared CachingEvaluator (1 = the global-lock
-  /// single-mutex baseline). Ignored when Memoize is off.
+  /// single-mutex baseline; 16 = CachingEvaluator's default, the memo
+  /// MlirRl builds). Ignored when Memoize is off.
   unsigned MemoShards = 16;
   /// False = no shared memo at all (the trainer prices through the bare
   /// Runner); the memo must be trajectory-invisible.
@@ -80,18 +87,33 @@ std::vector<PpoIterationStats> trainWith(const MatrixCase &Case) {
   O.Ppo.BatchWidth = Case.BatchWidth;
   O.Ppo.CollectThreads = Case.CollectThreads;
   O.Ppo.UpdateThreads = Case.UpdateThreads;
-  O.MemoizeEvaluations = Case.Memoize;
-  O.MemoShards = Case.MemoShards;
   O.Iterations = 2;
   O.Seed = 2025;
-  MlirRl Sys(O);
   std::vector<Module> Data = {makeMatmulModule(64, 64, 64),
                               makeReluModule({512, 128})};
-  return Sys.train(Data);
+  if (Case.Memoize && Case.MemoShards == 16) {
+    MlirRl Sys(O);
+    return Sys.train(Data);
+  }
+
+  // The shard and memo-off probes: MlirRl's composition, with the
+  // memo's stripe count set or the memo left out.
+  Runner Run(O.Machine, O.Runner);
+  std::unique_ptr<CachingEvaluator> Memo;
+  if (Case.Memoize)
+    Memo = std::make_unique<CachingEvaluator>(
+        Run, CachingEvaluator::DefaultCapacity, Case.MemoShards);
+  Evaluator &Eval = Memo ? static_cast<Evaluator &>(*Memo) : Run;
+  ActorCritic Agent(O.Env, Featurizer(O.Env).featureSize(), O.Net, O.Seed);
+  PpoTrainer Trainer(Agent, Eval, O.Ppo);
+  std::vector<PpoIterationStats> History;
+  for (unsigned I = 0; I < O.Iterations; ++I)
+    History.push_back(Trainer.trainIteration(Data));
+  return History;
 }
 
-/// The all-serial reference history (incremental, the default),
-/// computed once for the whole sweep.
+/// The all-serial reference history (incremental, the default, trained
+/// through MlirRl), computed once for the whole sweep.
 const std::vector<PpoIterationStats> &referenceHistory() {
   static const std::vector<PpoIterationStats> Reference =
       trainWith({1, 1, 1});

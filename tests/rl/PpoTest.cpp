@@ -158,3 +158,17 @@ TEST(PpoTest, NonFiniteGradientSkipsTheOptimizerStep) {
   EXPECT_GT(Minibatches, 0u);
   EXPECT_EQ(Skips.Misses.load() - SkipsBefore, Minibatches);
 }
+
+TEST(PpoTest, PricesThroughTheMemoUnlessRunnerNoiseIsOn) {
+  // The memo is on by default; with measurement noise, caching would
+  // freeze one draw per entry, so MlirRl prices through the bare Runner.
+  MlirRlOptions O = tinyOptions();
+  MlirRl Memoized(O);
+  ASSERT_NE(Memoized.memo(), nullptr);
+  EXPECT_EQ(&Memoized.evaluator(), Memoized.memo());
+
+  O.Runner.Noise = true;
+  MlirRl Noisy(O);
+  EXPECT_EQ(Noisy.memo(), nullptr);
+  EXPECT_EQ(&Noisy.evaluator(), &Noisy.runner());
+}

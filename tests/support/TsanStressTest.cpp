@@ -84,7 +84,6 @@ TEST(TsanStressTest, StripedLruEvictionHammer) {
       Memo.clear();
       (void)Memo.size();
       (void)Memo.counters();
-      (void)Memo.contention();
     }
   });
 
