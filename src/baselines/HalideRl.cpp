@@ -2,18 +2,9 @@
 
 #include "baselines/HalideRl.h"
 
-#include "rl/RolloutEngine.h"
-
 using namespace mlirrl;
 
-HalideRlBaseline::HalideRlBaseline(MachineModel Machine)
-    : OwnedEval(std::make_unique<CostModelEvaluator>(Machine)),
-      Eval(*OwnedEval) {}
-
-HalideRlBaseline::HalideRlBaseline(Evaluator &Eval) : Eval(Eval) {}
-
-HalideRlBaseline::HalideRlBaseline(const RolloutEngine &Engine)
-    : Eval(Engine.evaluator()) {}
+HalideRlBaseline::HalideRlBaseline(MachineModel Machine) : Eval(Machine) {}
 
 std::vector<HalideDirectives> HalideRlBaseline::directiveCandidates() {
   std::vector<HalideDirectives> Candidates;

@@ -19,27 +19,13 @@
 #include "baselines/ScheduleUtil.h"
 #include "perf/Evaluator.h"
 
-#include <memory>
-
 namespace mlirrl {
-
-class RolloutEngine;
 
 /// The Halide RL baseline.
 class HalideRlBaseline {
 public:
-  /// Owns a CostModelEvaluator over \p Machine (the common case).
+  /// Prices through a CostModelEvaluator over \p Machine.
   explicit HalideRlBaseline(MachineModel Machine);
-
-  /// Measures through an external evaluator (e.g. a CachingEvaluator
-  /// shared with the RL system for like-for-like comparisons). \p Eval
-  /// must outlive the baseline.
-  explicit HalideRlBaseline(Evaluator &Eval);
-
-  /// Binds to \p Engine's evaluator, so the baseline prices through the
-  /// exact memoized seam the RL rollouts use (like-for-like speedups
-  /// and shared memo hits). \p Engine must outlive the baseline.
-  explicit HalideRlBaseline(const RolloutEngine &Engine);
 
   /// Best-of-directive-list time for one module (ops scheduled
   /// independently, like per-stage Halide schedules).
@@ -53,9 +39,9 @@ public:
                                   double *BestSeconds = nullptr) const;
 
 private:
-  /// Set when constructed from a MachineModel; Eval points at it then.
-  std::unique_ptr<CostModelEvaluator> OwnedEval;
-  Evaluator &Eval;
+  /// Mutable: the const queries price through it (timeNests is a
+  /// non-const evaluator call; the cost model holds no state).
+  mutable CostModelEvaluator Eval;
 };
 
 } // namespace mlirrl

@@ -3,21 +3,11 @@
 #include "baselines/Mullapudi.h"
 
 #include "perf/WorkingSet.h"
-#include "rl/RolloutEngine.h"
 
 using namespace mlirrl;
 
 MullapudiAutoscheduler::MullapudiAutoscheduler(MachineModel Machine)
-    : OwnedEval(std::make_unique<CostModelEvaluator>(Machine)),
-      Eval(*OwnedEval), Machine(Machine) {}
-
-MullapudiAutoscheduler::MullapudiAutoscheduler(Evaluator &Eval,
-                                               MachineModel Machine)
-    : Eval(Eval), Machine(Machine) {}
-
-MullapudiAutoscheduler::MullapudiAutoscheduler(const RolloutEngine &Engine,
-                                               MachineModel Machine)
-    : Eval(Engine.evaluator()), Machine(Machine) {}
+    : Eval(Machine), Machine(Machine) {}
 
 HalideDirectives
 MullapudiAutoscheduler::scheduleOp(const Module &M, unsigned OpIdx) const {

@@ -16,27 +16,14 @@
 #include "baselines/ScheduleUtil.h"
 #include "perf/Evaluator.h"
 
-#include <memory>
-
 namespace mlirrl {
-
-class RolloutEngine;
 
 /// The greedy autoscheduler.
 class MullapudiAutoscheduler {
 public:
-  /// Owns a CostModelEvaluator over \p Machine (the common case).
+  /// Prices through a CostModelEvaluator over \p Machine, which the
+  /// footprint heuristic also reads.
   explicit MullapudiAutoscheduler(MachineModel Machine);
-
-  /// Measures through an external evaluator (e.g. a CachingEvaluator
-  /// shared with the RL system). \p Eval must outlive the baseline; the
-  /// footprint heuristic still needs the machine description.
-  MullapudiAutoscheduler(Evaluator &Eval, MachineModel Machine);
-
-  /// Binds to \p Engine's evaluator (the shared memoized seam RL
-  /// rollouts price through); the footprint heuristic still needs the
-  /// machine description. \p Engine must outlive the baseline.
-  MullapudiAutoscheduler(const RolloutEngine &Engine, MachineModel Machine);
 
   /// End-to-end time of the module under the autoscheduled program.
   double timeModule(const Module &M) const;
@@ -45,9 +32,9 @@ public:
   HalideDirectives scheduleOp(const Module &M, unsigned OpIdx) const;
 
 private:
-  /// Set when constructed from a MachineModel; Eval points at it then.
-  std::unique_ptr<CostModelEvaluator> OwnedEval;
-  Evaluator &Eval;
+  /// Mutable: the const queries price through it (timeNests is a
+  /// non-const evaluator call; the cost model holds no state).
+  mutable CostModelEvaluator Eval;
   MachineModel Machine;
 };
 

@@ -55,7 +55,6 @@ public:
 
   /// Samples per epoch.
   size_t size() const { return Order.size(); }
-  unsigned shardSize() const { return ShardWidth; }
 
   /// The module at the stream position; advances by one. The returned
   /// reference stays valid until the stream next crosses a shard

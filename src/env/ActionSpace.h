@@ -48,21 +48,12 @@ struct AgentAction {
 struct ActionSpaceInfo {
   explicit ActionSpaceInfo(const EnvConfig &Config);
 
-  /// Size of the transformation-selection head (6).
-  unsigned transformHeadSize() const { return NumTransformKinds; }
-
-  /// Tile heads: MaxLoops rows of NumTileSizes columns each.
-  unsigned tileRows() const { return Config.MaxLoops; }
-  unsigned tileCols() const { return Config.NumTileSizes; }
-
   /// Interchange head size: 3N-6 candidates or N pointers.
   unsigned interchangeHeadSize() const;
 
   /// Total size of the multi-discrete action space |A| as the paper
   /// counts it: 3 * M^N + N! + 2 (for reporting only).
   double flatTheoreticalSize(unsigned NumLoops) const;
-
-  const EnvConfig &getConfig() const { return Config; }
 
 private:
   EnvConfig Config;

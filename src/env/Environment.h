@@ -50,8 +50,6 @@ public:
 
   bool isDone() const { return Done; }
   const Observation &observe() const { return CurrentObs; }
-  const Featurizer &getFeaturizer() const { return Feat; }
-  const EnvConfig &getConfig() const { return Config; }
 
   struct StepOutcome {
     double Reward = 0.0;

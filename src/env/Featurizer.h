@@ -85,8 +85,6 @@ public:
     return std::vector<double>(featureSize(), 0.0);
   }
 
-  const EnvConfig &getConfig() const { return Config; }
-
 private:
   EnvConfig Config;
 };

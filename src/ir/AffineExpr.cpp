@@ -22,14 +22,6 @@ AffineExpr AffineExpr::dim(unsigned Dim, unsigned NumDims) {
   return E;
 }
 
-AffineExpr AffineExpr::fromCoeffs(std::vector<int64_t> Coeffs,
-                                  int64_t Constant) {
-  AffineExpr E;
-  E.Coeffs = std::move(Coeffs);
-  E.ConstantTerm = Constant;
-  return E;
-}
-
 int64_t AffineExpr::getCoeff(unsigned Dim) const {
   assert(Dim < Coeffs.size() && "dim index out of range");
   return Coeffs[Dim];

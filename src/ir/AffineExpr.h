@@ -32,10 +32,6 @@ public:
   /// Creates the expression d_{Dim} over \p NumDims iterators.
   static AffineExpr dim(unsigned Dim, unsigned NumDims);
 
-  /// Creates Coeffs . d + Constant.
-  static AffineExpr fromCoeffs(std::vector<int64_t> Coeffs,
-                               int64_t Constant = 0);
-
   unsigned getNumDims() const { return Coeffs.size(); }
   int64_t getCoeff(unsigned Dim) const;
   void setCoeff(unsigned Dim, int64_t Value);

@@ -103,11 +103,6 @@ int64_t LinalgOp::getIterationCount() const {
   return Count;
 }
 
-unsigned LinalgOp::getInnermostLoop() const {
-  assert(!LoopBounds.empty() && "op has no loops");
-  return getNumLoops() - 1;
-}
-
 bool LinalgOp::readsValue(const std::string &Value) const {
   for (const OpOperand &In : Inputs)
     if (In.Value == Value)

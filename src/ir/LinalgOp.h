@@ -87,9 +87,6 @@ public:
   int64_t getLoopBound(unsigned Loop) const;
   const std::vector<IteratorKind> &getIterators() const { return Iterators; }
   IteratorKind getIterator(unsigned Loop) const;
-  bool isParallelLoop(unsigned Loop) const {
-    return getIterator(Loop) == IteratorKind::Parallel;
-  }
   unsigned getNumParallelLoops() const;
   unsigned getNumReductionLoops() const;
 
@@ -105,9 +102,6 @@ public:
 
   /// Total scalar floating-point operations executed by the nest.
   int64_t getFlops() const { return getIterationCount() * Arith.total(); }
-
-  /// Index of the innermost loop (by convention, the last one).
-  unsigned getInnermostLoop() const;
 
   /// Returns true if \p Value is read by this operation.
   bool readsValue(const std::string &Value) const;

@@ -67,9 +67,7 @@ public:
   /// Zeroes all parameter gradients.
   void zeroGrad();
 
-  double getLearningRate() const { return LearningRate; }
   void setLearningRate(double Lr) { LearningRate = Lr; }
-  const std::vector<Tensor> &getParams() const { return Params; }
 
   /// The serializable optimizer state (moments + step count), captured
   /// and restored by rl/Checkpoint so a resumed training's bias

@@ -26,10 +26,6 @@ struct CacheSimStats {
   uint64_t L1Misses = 0;
   uint64_t L2Misses = 0;
   uint64_t L3Misses = 0;
-
-  double l1MissRate() const {
-    return Accesses ? static_cast<double>(L1Misses) / Accesses : 0.0;
-  }
 };
 
 /// One set-associative LRU cache level.

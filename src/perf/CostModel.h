@@ -67,8 +67,6 @@ class CostModel {
 public:
   explicit CostModel(MachineModel Machine) : Machine(Machine) {}
 
-  const MachineModel &getMachine() const { return Machine; }
-
   /// Estimates execution time of one scheduled nest.
   TimeBreakdown estimateNest(const LoopNest &Nest) const;
 

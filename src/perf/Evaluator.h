@@ -104,8 +104,6 @@ public:
     return Model.estimateNest(Nest).TotalSeconds;
   }
 
-  const CostModel &getCostModel() const { return Model; }
-
 private:
   CostModel Model;
 };

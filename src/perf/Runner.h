@@ -41,8 +41,6 @@ class Runner : public Evaluator {
 public:
   explicit Runner(MachineModel Machine, RunnerOptions Options = {});
 
-  const CostModel &getCostModel() const { return Model; }
-
   /// Median "measured" time of a materialized program, seconds.
   double timeNests(const std::vector<LoopNest> &Nests) override;
 

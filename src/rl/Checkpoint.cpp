@@ -15,13 +15,14 @@
 using namespace mlirrl;
 using namespace mlirrl::serialize;
 
-// Chunk tags of the version-1 checkpoint layout.
+// Chunk tags of the checkpoint layout. Version 1 also carried a 'BUF '
+// chunk (the last iteration's rollout steps); nothing ever read it, and
+// the loaders never look it up.
 static constexpr uint32_t kConfigTag = fourCC('C', 'F', 'G', ' ');
 static constexpr uint32_t kParamsTag = fourCC('P', 'R', 'M', ' ');
 static constexpr uint32_t kAdamTag = fourCC('A', 'D', 'M', ' ');
 static constexpr uint32_t kRngTag = fourCC('R', 'N', 'G', ' ');
 static constexpr uint32_t kCountersTag = fourCC('C', 'T', 'R', ' ');
-static constexpr uint32_t kBufferTag = fourCC('B', 'U', 'F', ' ');
 static constexpr uint32_t kDatasetTag = fourCC('D', 'S', 'E', 'T');
 
 //===----------------------------------------------------------------------===//
@@ -102,82 +103,36 @@ PpoConfig ckpt::readPpoConfig(ChunkReader &R) {
   return Config;
 }
 
-static void writeObservation(ArchiveWriter &W, const Observation &Obs) {
-  W.writeDoubles(Obs.Consumer);
-  W.writeDoubles(Obs.Producer);
-  W.writeDoubles(Obs.TransformMask);
-  W.writeDoubles(Obs.InterchangeMask);
-  W.writeDoubles(Obs.FlatMask);
-  W.writeBool(Obs.InPointerSequence);
-  W.writeU32(Obs.NumLoops);
-}
-
-static Observation readObservation(ChunkReader &R) {
-  Observation Obs;
-  Obs.Consumer = R.readDoubles();
-  Obs.Producer = R.readDoubles();
-  Obs.TransformMask = R.readDoubles();
-  Obs.InterchangeMask = R.readDoubles();
-  Obs.FlatMask = R.readDoubles();
-  Obs.InPointerSequence = R.readBool();
-  Obs.NumLoops = R.readU32();
-  return Obs;
-}
-
-static void writeAction(ArchiveWriter &W, const AgentAction &Action) {
-  W.writeU32(static_cast<uint32_t>(Action.Kind));
-  W.writeU32s(Action.TileSizeIdx);
-  W.writeU32(Action.EnumeratedChoice);
-  W.writeU32(Action.PointerChoice);
-  W.writeU32(Action.FlatChoice);
-}
-
-static AgentAction readAction(ChunkReader &R) {
-  AgentAction Action;
-  Action.Kind = static_cast<TransformKind>(R.readU32());
-  Action.TileSizeIdx = R.readU32s();
-  Action.EnumeratedChoice = R.readU32();
-  Action.PointerChoice = R.readU32();
-  Action.FlatChoice = R.readU32();
-  return Action;
-}
-
-void ckpt::writeRolloutStep(ArchiveWriter &W, const RolloutStep &Step) {
-  writeObservation(W, Step.Obs);
-  writeAction(W, Step.Action);
-  W.writeDouble(Step.OldLogProb);
-  W.writeDouble(Step.Value);
-  W.writeDouble(Step.Reward);
-  W.writeBool(Step.EpisodeEnd);
-  W.writeDouble(Step.Advantage);
-  W.writeDouble(Step.Return);
-}
-
-RolloutStep ckpt::readRolloutStep(ChunkReader &R) {
-  RolloutStep Step;
-  Step.Obs = readObservation(R);
-  Step.Action = readAction(R);
-  Step.OldLogProb = R.readDouble();
-  Step.Value = R.readDouble();
-  Step.Reward = R.readDouble();
-  Step.EpisodeEnd = R.readBool();
-  Step.Advantage = R.readDouble();
-  Step.Return = R.readDouble();
-  return Step;
-}
-
 //===----------------------------------------------------------------------===//
 // Agent parameters
 //===----------------------------------------------------------------------===//
 
 /// "" when every entry of \p Values is finite, else an error naming
 /// \p What and its first non-finite element.
+template <typename Vector>
 static std::string nonFiniteError(const std::string &What,
-                                  const std::vector<double> &Values) {
+                                  const Vector &Values) {
   for (size_t I = 0; I < Values.size(); ++I)
     if (!std::isfinite(Values[I]))
       return What + " holds a non-finite value (" +
              std::to_string(Values[I]) + ") at element " + std::to_string(I);
+  return "";
+}
+
+/// nonFiniteError over every Adam moment, parameter by parameter (a
+/// parameter's first moment before its second).
+static std::string
+nonFiniteMomentError(const std::vector<std::vector<double>> &First,
+                     const std::vector<std::vector<double>> &Second) {
+  for (size_t I = 0; I < First.size(); ++I) {
+    std::string Bad =
+        nonFiniteError("Adam first moment " + std::to_string(I), First[I]);
+    if (Bad.empty())
+      Bad = nonFiniteError("Adam second moment " + std::to_string(I),
+                           Second[I]);
+    if (!Bad.empty())
+      return Bad;
+  }
   return "";
 }
 
@@ -246,13 +201,26 @@ Expected<bool> mlirrl::loadAgentParameters(ActorCritic &Agent,
 // PpoTrainer state (declared in rl/Ppo.h)
 //===----------------------------------------------------------------------===//
 
-void PpoTrainer::saveState(ArchiveWriter &W) const {
+Expected<bool> PpoTrainer::saveState(ArchiveWriter &W) const {
+  // Both loaders refuse a non-finite parameter or moment, so such state
+  // is refused here, before the first byte is written.
+  std::vector<nn::Tensor> Params = Agent.parameters();
+  for (size_t I = 0; I < Params.size(); ++I) {
+    std::string Bad =
+        nonFiniteError("parameter " + std::to_string(I), Params[I].data());
+    if (!Bad.empty())
+      return makeError<bool>(Bad);
+  }
+  std::string Bad = nonFiniteMomentError(Optimizer.firstMoments(),
+                                         Optimizer.secondMoments());
+  if (!Bad.empty())
+    return makeError<bool>(Bad);
+
   W.beginChunk(kConfigTag);
   ckpt::writePpoConfig(W, Config);
   W.endChunk();
 
   W.beginChunk(kParamsTag);
-  std::vector<nn::Tensor> Params = Agent.parameters();
   W.writeU64(Params.size());
   for (const nn::Tensor &P : Params)
     ckpt::writeTensor(W, P);
@@ -276,12 +244,7 @@ void PpoTrainer::saveState(ArchiveWriter &W) const {
   W.writeU64(EpisodeCounter);
   W.writeU64(IterationsDone);
   W.endChunk();
-
-  W.beginChunk(kBufferTag);
-  W.writeU64(Buffer.size());
-  for (const RolloutStep &Step : Buffer.steps())
-    ckpt::writeRolloutStep(W, Step);
-  W.endChunk();
+  return true;
 }
 
 Expected<bool> PpoTrainer::restoreState(const ArchiveReader &Reader) {
@@ -319,19 +282,15 @@ Expected<bool> PpoTrainer::restoreState(const ArchiveReader &Reader) {
     V = Adm->readDoubles();
   if (!Adm->ok())
     return makeError<bool>("Adam chunk: " + Adm->error());
-  for (size_t I = 0; I < Params.size(); ++I) {
+  for (size_t I = 0; I < Params.size(); ++I)
     if (AdamState.FirstMoment[I].size() != Params[I].size() ||
         AdamState.SecondMoment[I].size() != Params[I].size())
       return makeError<bool>("Adam moment " + std::to_string(I) +
                              " does not match its parameter's size");
-    std::string Bad = nonFiniteError("Adam first moment " + std::to_string(I),
-                                     AdamState.FirstMoment[I]);
-    if (Bad.empty())
-      Bad = nonFiniteError("Adam second moment " + std::to_string(I),
-                           AdamState.SecondMoment[I]);
-    if (!Bad.empty())
-      return makeError<bool>(Bad);
-  }
+  std::string Bad =
+      nonFiniteMomentError(AdamState.FirstMoment, AdamState.SecondMoment);
+  if (!Bad.empty())
+    return makeError<bool>(Bad);
 
   Expected<ChunkReader> RngChunk = Reader.chunk(kRngTag);
   if (!RngChunk)
@@ -350,16 +309,6 @@ Expected<bool> PpoTrainer::restoreState(const ArchiveReader &Reader) {
   if (!Ctr->ok())
     return makeError<bool>("counter chunk: " + Ctr->error());
 
-  Expected<ChunkReader> Buf = Reader.chunk(kBufferTag);
-  if (!Buf)
-    return makeError<bool>(Buf.getError());
-  uint64_t StepCount = Buf->readU64();
-  std::vector<RolloutStep> NewSteps;
-  for (uint64_t I = 0; I < StepCount && Buf->ok(); ++I)
-    NewSteps.push_back(ckpt::readRolloutStep(*Buf));
-  if (!Buf->ok() || NewSteps.size() != StepCount)
-    return makeError<bool>("rollout-buffer chunk: " + Buf->error());
-
   // Commit. Nothing below can fail.
   Config = NewConfig;
   commitParameters(Params, *NewData);
@@ -372,7 +321,6 @@ Expected<bool> PpoTrainer::restoreState(const ArchiveReader &Reader) {
   DatasetCursor = NewDatasetCursor;
   EpisodeCounter = NewEpisodeCounter;
   IterationsDone = NewIterationsDone;
-  Buffer.steps() = std::move(NewSteps);
   // Thread pools are sized by the (possibly changed) config; drop them
   // so the next iteration recreates them lazily.
   Pool.reset();
@@ -391,7 +339,9 @@ Expected<bool> mlirrl::saveCheckpoint(const PpoTrainer &Trainer,
                                       const std::string &Path,
                                       const ShardedDataset *Stream) {
   ArchiveWriter W(CheckpointFormatVersion);
-  Trainer.saveState(W);
+  Expected<bool> Saved = Trainer.saveState(W);
+  if (!Saved)
+    return Saved;
   if (Stream) {
     W.beginChunk(kDatasetTag);
     W.writeU64(Stream->seed());

@@ -1,20 +1,22 @@
 //===- Checkpoint.h - Trainer checkpoints with bitwise-exact resume -*-C++-*-=//
 ///
 /// \file
-/// Checkpointed long trainings: snapshotting and restoring the full
-/// PpoTrainer state — network parameters, Adam moments and step count,
-/// the sample RNG stream, episode/dataset cursors, the PPO
-/// configuration and any in-flight rollout steps — through the
+/// Checkpointed long trainings: snapshotting and restoring the
+/// PpoTrainer state an iteration-boundary resume reads — network
+/// parameters, Adam moments and step count, the sample RNG stream,
+/// episode/dataset cursors and the PPO configuration — through the
 /// versioned, CRC-checked binary archives of support/Serialize.h. The
 /// contract is bitwise-exact resume: for any k, batch width and thread
 /// count, train(k); save; load; train(N-k) produces the same
 /// parameters, moments, RNG states and iteration statistics as an
 /// uninterrupted train(N) (CheckpointResumeTest).
 ///
-/// Restores are all-or-nothing: every chunk is CRC- and shape-validated,
-/// and every parameter and Adam moment checked finite, before a single
-/// byte of trainer state changes, so a corrupt, mismatched or non-finite
-/// archive fails with a clean error and an untouched trainer.
+/// Saves refuse a non-finite parameter or Adam moment before writing
+/// anything. Restores are all-or-nothing: every chunk is CRC- and
+/// shape-validated, and every parameter and Adam moment checked finite,
+/// before a single byte of trainer state changes, so a corrupt,
+/// mismatched or non-finite archive fails with a clean error and an
+/// untouched trainer.
 ///
 /// CheckpointManager adds production file handling on top: atomic
 /// temp-file + rename writes (a crash never leaves a torn checkpoint
@@ -36,10 +38,14 @@ namespace mlirrl {
 
 class ShardedDataset;
 
-/// Version of the checkpoint archive content (bumped whenever a chunk
-/// layout changes; readers reject other versions instead of
-/// misinterpreting bytes).
-constexpr uint32_t CheckpointFormatVersion = 1;
+/// Version of the checkpoint archive content, bumped whenever a chunk
+/// layout changes. Saves write this version; loads accept 1 up to it
+/// and reject version 0 and newer versions instead of misinterpreting
+/// bytes. Version 2 dropped version 1's 'BUF ' chunk (the last
+/// iteration's rollout steps, which resume never read), so a version-1
+/// file loads unchanged and re-saves without it
+/// (CheckpointFormatTest).
+constexpr uint32_t CheckpointFormatVersion = 2;
 
 /// Component serializers, shared between the trainer state code and the
 /// round-trip tests. Writers append to the archive's open chunk;
@@ -57,13 +63,11 @@ void readRng(serialize::ChunkReader &R, Rng &Out);
 void writePpoConfig(serialize::ArchiveWriter &W, const PpoConfig &Config);
 PpoConfig readPpoConfig(serialize::ChunkReader &R);
 
-void writeRolloutStep(serialize::ArchiveWriter &W, const RolloutStep &Step);
-RolloutStep readRolloutStep(serialize::ChunkReader &R);
-
 } // namespace ckpt
 
 /// Serializes \p Trainer (and, when \p Stream is given, its dataset
-/// cursor) and writes the archive to \p Path atomically.
+/// cursor) and writes the archive to \p Path atomically. Fails, writing
+/// nothing, when the trainer holds a non-finite parameter or moment.
 Expected<bool> saveCheckpoint(const PpoTrainer &Trainer,
                               const std::string &Path,
                               const ShardedDataset *Stream = nullptr);
@@ -96,7 +100,8 @@ public:
   explicit CheckpointManager(Options Opts) : Opts(std::move(Opts)) {}
 
   /// Saves \p Trainer under its current iterationsDone() index and
-  /// rotates. Returns the written path.
+  /// rotates. Returns the written path. A failed save (saveCheckpoint's
+  /// errors) writes and rotates nothing.
   Expected<std::string> save(const PpoTrainer &Trainer,
                              const ShardedDataset *Stream = nullptr) const;
 

@@ -82,7 +82,6 @@ PpoIterationStats PpoTrainer::trainIteration(ShardedDataset &Stream) {
 
 PpoIterationStats
 PpoTrainer::runIteration(const std::vector<const Module *> &Samples) {
-  Buffer.clear();
   PpoIterationStats Stats;
 
   // Draw the RNG stream key of each episode up front; groups are then
@@ -110,6 +109,7 @@ PpoTrainer::runIteration(const std::vector<const Module *> &Samples) {
     for (unsigned G = 0; G < Groups; ++G)
       RunGroup(G);
 
+  RolloutBuffer Buffer;
   std::vector<double> Speedups;
   std::vector<double> Rewards;
   for (std::vector<RolloutEngine::Episode> &Group : GroupResults) {
@@ -128,7 +128,7 @@ PpoTrainer::runIteration(const std::vector<const Module *> &Samples) {
 
   Buffer.computeAdvantages(Config.Gamma, Config.Lambda);
   Buffer.normalizeAdvantages();
-  update(Stats);
+  update(Buffer, Stats);
   ++IterationsDone;
   return Stats;
 }
@@ -144,7 +144,8 @@ struct GemmPoolScope {
 
 } // namespace
 
-void PpoTrainer::update(PpoIterationStats &Stats) {
+void PpoTrainer::update(const RolloutBuffer &Buffer,
+                        PpoIterationStats &Stats) {
   GemmPoolScope PoolScope(updatePool());
 
   std::vector<size_t> Indices(Buffer.size());

@@ -121,7 +121,6 @@ public:
   /// returns the achieved speedup (and the schedule through \p Out).
   double evaluate(const Module &Sample, ModuleSchedule *Out = nullptr);
 
-  const PpoConfig &getConfig() const { return Config; }
   Rng &rng() { return SampleRng; }
 
   /// The optimizer's serializable state (checkpoint tests compare it
@@ -135,17 +134,16 @@ public:
   uint64_t episodeCounter() const { return EpisodeCounter; }
 
   /// Checkpointing (implemented in rl/Checkpoint.cpp): saveState
-  /// serializes every piece of trainer state — agent parameters, Adam
-  /// moments and step count, the sample RNG stream, the episode/dataset
-  /// cursors, the PPO configuration and the rollout buffer — such that
-  /// train(N) == train(k); save; load; train(N-k) bitwise. (The buffer
-  /// is snapshotted for completeness; iteration-boundary resume never
-  /// reads it back, since each iteration re-collects from scratch — it
-  /// is the seam a future mid-iteration checkpoint would build on.)
-  /// restoreState validates the whole archive (CRCs, shapes, finite
-  /// parameters and moments) before mutating anything: on failure the
-  /// trainer is untouched.
-  void saveState(serialize::ArchiveWriter &Writer) const;
+  /// serializes the trainer state an iteration boundary holds — agent
+  /// parameters, Adam moments and step count, the sample RNG stream,
+  /// the episode/dataset cursors and the PPO configuration — such that
+  /// train(N) == train(k); save; load; train(N-k) bitwise. It fails,
+  /// writing nothing, when a parameter or Adam moment is non-finite
+  /// (the error names the tensor and the element, as the loaders'
+  /// does). restoreState validates the whole archive (CRCs, shapes,
+  /// finite parameters and moments) before mutating anything: on
+  /// failure the trainer is untouched.
+  Expected<bool> saveState(serialize::ArchiveWriter &Writer) const;
   Expected<bool> restoreState(const serialize::ArchiveReader &Reader);
 
 private:
@@ -158,10 +156,11 @@ private:
                const std::vector<uint64_t> &StreamKeys) const;
 
   /// The shared iteration core: collects one episode per entry of
-  /// \p Samples (stream keys drawn from EpisodeCounter), then updates.
+  /// \p Samples (stream keys drawn from EpisodeCounter) into the
+  /// iteration's rollout buffer, then updates from it.
   PpoIterationStats runIteration(const std::vector<const Module *> &Samples);
 
-  void update(PpoIterationStats &Stats);
+  void update(const RolloutBuffer &Buffer, PpoIterationStats &Stats);
 
   /// The pool used for group collection (created on first use; nullptr
   /// while CollectThreads == 1).
@@ -179,7 +178,6 @@ private:
   PpoConfig Config;
   nn::Adam Optimizer;
   Rng SampleRng;
-  RolloutBuffer Buffer;
   size_t DatasetCursor = 0;
   /// Global episode counter: the RNG stream key of the next episode.
   uint64_t EpisodeCounter = 0;

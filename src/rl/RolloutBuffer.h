@@ -35,9 +35,7 @@ struct RolloutStep {
 class RolloutBuffer {
 public:
   void add(RolloutStep Step) { Steps.push_back(std::move(Step)); }
-  void clear() { Steps.clear(); }
   size_t size() const { return Steps.size(); }
-  bool empty() const { return Steps.empty(); }
 
   std::vector<RolloutStep> &steps() { return Steps; }
   const std::vector<RolloutStep> &steps() const { return Steps; }

@@ -122,10 +122,6 @@ public:
   Episode greedy(const Module &M, const Options &Opts) const;
 
   const EnvConfig &envConfig() const { return Config; }
-  /// The evaluator every rollout measures through -- exposed so the
-  /// baselines and the server can price through the same (memoized)
-  /// seam the engine uses.
-  Evaluator &evaluator() const { return Eval; }
 
 private:
   const ActorCritic *Agent;

@@ -138,10 +138,6 @@ public:
 
   ServeStats stats() const;
 
-  /// The engine's evaluator seam (the shared memo), e.g. for baselines
-  /// priced like-for-like against served schedules.
-  Evaluator &evaluator() { return Memo; }
-
   /// Stops all workers and rejects all queued requests. Idempotent;
   /// subsequent submissions reject with a shutdown reason.
   void shutdown();

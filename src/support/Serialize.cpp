@@ -104,11 +104,6 @@ void ArchiveWriter::endChunk() {
            crc32(Bytes.data() + PayloadStart, PayloadSize));
 }
 
-void ArchiveWriter::writeU8(uint8_t Value) {
-  assert(InChunk && "write outside a chunk");
-  Bytes.push_back(Value);
-}
-
 void ArchiveWriter::writeU32(uint32_t Value) {
   assert(InChunk && "write outside a chunk");
   appendU32(Bytes, Value);
@@ -119,23 +114,16 @@ void ArchiveWriter::writeU64(uint64_t Value) {
   appendU64(Bytes, Value);
 }
 
-void ArchiveWriter::writeI64(int64_t Value) {
-  writeU64(static_cast<uint64_t>(Value));
+void ArchiveWriter::writeBool(bool Value) {
+  assert(InChunk && "write outside a chunk");
+  Bytes.push_back(Value ? 1 : 0);
 }
-
-void ArchiveWriter::writeBool(bool Value) { writeU8(Value ? 1 : 0); }
 
 void ArchiveWriter::writeDouble(double Value) {
   uint64_t Pattern;
   static_assert(sizeof(Pattern) == sizeof(Value));
   std::memcpy(&Pattern, &Value, sizeof(Pattern));
   writeU64(Pattern);
-}
-
-void ArchiveWriter::writeString(const std::string &Value) {
-  writeU64(Value.size());
-  assert(InChunk);
-  Bytes.insert(Bytes.end(), Value.begin(), Value.end());
 }
 
 void ArchiveWriter::writeDoubles(const std::vector<double> &Values) {
@@ -146,18 +134,6 @@ void ArchiveWriter::writeDoubles(const double *Values, size_t Count) {
   writeU64(Count);
   for (size_t I = 0; I < Count; ++I)
     writeDouble(Values[I]);
-}
-
-void ArchiveWriter::writeU64s(const std::vector<uint64_t> &Values) {
-  writeU64(Values.size());
-  for (uint64_t V : Values)
-    writeU64(V);
-}
-
-void ArchiveWriter::writeU32s(const std::vector<unsigned> &Values) {
-  writeU64(Values.size());
-  for (unsigned V : Values)
-    writeU32(V);
 }
 
 std::vector<uint8_t> ArchiveWriter::finish() {
@@ -194,11 +170,6 @@ bool ChunkReader::take(size_t Count, const uint8_t *&Out) {
   return true;
 }
 
-uint8_t ChunkReader::readU8() {
-  const uint8_t *P;
-  return take(1, P) ? *P : 0;
-}
-
 uint32_t ChunkReader::readU32() {
   const uint8_t *P;
   return take(4, P) ? loadU32(P) : 0;
@@ -209,23 +180,16 @@ uint64_t ChunkReader::readU64() {
   return take(8, P) ? loadU64(P) : 0;
 }
 
-int64_t ChunkReader::readI64() { return static_cast<int64_t>(readU64()); }
-
-bool ChunkReader::readBool() { return readU8() != 0; }
+bool ChunkReader::readBool() {
+  const uint8_t *P;
+  return take(1, P) && *P != 0;
+}
 
 double ChunkReader::readDouble() {
   uint64_t Pattern = readU64();
   double Value;
   std::memcpy(&Value, &Pattern, sizeof(Value));
   return Value;
-}
-
-std::string ChunkReader::readString() {
-  uint64_t Count = readU64();
-  const uint8_t *P;
-  if (!take(Count, P))
-    return {};
-  return std::string(reinterpret_cast<const char *>(P), Count);
 }
 
 std::vector<double> ChunkReader::readDoubles() {
@@ -241,38 +205,18 @@ std::vector<double> ChunkReader::readDoubles() {
   return Values;
 }
 
-std::vector<uint64_t> ChunkReader::readU64s() {
-  uint64_t Count = readU64();
-  if (Failed || Count > remaining() / 8) {
-    fail("chunk underrun reading a u64 vector of " + std::to_string(Count) +
-         " entries");
-    return {};
-  }
-  std::vector<uint64_t> Values(Count);
-  for (uint64_t &V : Values)
-    V = readU64();
-  return Values;
-}
-
-std::vector<unsigned> ChunkReader::readU32s() {
-  uint64_t Count = readU64();
-  if (Failed || Count > remaining() / 4) {
-    fail("chunk underrun reading a u32 vector of " + std::to_string(Count) +
-         " entries");
-    return {};
-  }
-  std::vector<unsigned> Values(Count);
-  for (unsigned &V : Values)
-    V = readU32();
-  return Values;
-}
-
 //===----------------------------------------------------------------------===//
 // ArchiveReader
 //===----------------------------------------------------------------------===//
 
+/// The printable form of a chunk tag ("PRM " for fourCC('P','R','M',' ')).
+static std::string tagName(uint32_t Tag) {
+  return {static_cast<char>(Tag), static_cast<char>(Tag >> 8),
+          static_cast<char>(Tag >> 16), static_cast<char>(Tag >> 24)};
+}
+
 Expected<ArchiveReader> ArchiveReader::fromBytes(std::vector<uint8_t> Bytes,
-                                                 uint32_t ExpectVersion) {
+                                                 uint32_t NewestVersion) {
   const size_t HeaderSize = sizeof(kFormatMagic) + 4;
   if (Bytes.size() < HeaderSize)
     return makeError<ArchiveReader>("archive truncated: " +
@@ -284,10 +228,10 @@ Expected<ArchiveReader> ArchiveReader::fromBytes(std::vector<uint8_t> Bytes,
 
   ArchiveReader Reader;
   Reader.Version = loadU32(Bytes.data() + sizeof(kFormatMagic));
-  if (Reader.Version != ExpectVersion)
+  if (Reader.Version == 0 || Reader.Version > NewestVersion)
     return makeError<ArchiveReader>(
         "archive version " + std::to_string(Reader.Version) +
-        ", expected " + std::to_string(ExpectVersion));
+        ", expected 1 to " + std::to_string(NewestVersion));
 
   size_t Pos = HeaderSize;
   while (Pos < Bytes.size()) {
@@ -297,6 +241,11 @@ Expected<ArchiveReader> ArchiveReader::fromBytes(std::vector<uint8_t> Bytes,
           std::to_string(Pos));
     ChunkRef Ref;
     Ref.Tag = loadU32(Bytes.data() + Pos);
+    for (const ChunkRef &Earlier : Reader.Chunks)
+      if (Earlier.Tag == Ref.Tag)
+        return makeError<ArchiveReader>(
+            "duplicate '" + tagName(Ref.Tag) + "' chunk at offset " +
+            std::to_string(Pos) + " (archive corrupted)");
     uint64_t PayloadSize = loadU64(Bytes.data() + Pos + 4);
     uint32_t StoredCrc = loadU32(Bytes.data() + Pos + 12);
     Pos += 16;
@@ -320,37 +269,18 @@ Expected<ArchiveReader> ArchiveReader::fromBytes(std::vector<uint8_t> Bytes,
 }
 
 Expected<ArchiveReader> ArchiveReader::fromFile(const std::string &Path,
-                                                uint32_t ExpectVersion) {
+                                                uint32_t NewestVersion) {
   Expected<std::vector<uint8_t>> Bytes = readFileBytes(Path);
   if (!Bytes)
     return makeError<ArchiveReader>(Bytes.getError());
-  return fromBytes(std::move(*Bytes), ExpectVersion);
-}
-
-bool ArchiveReader::hasChunk(uint32_t Tag) const {
-  for (const ChunkRef &Ref : Chunks)
-    if (Ref.Tag == Tag)
-      return true;
-  return false;
+  return fromBytes(std::move(*Bytes), NewestVersion);
 }
 
 Expected<ChunkReader> ArchiveReader::chunk(uint32_t Tag) const {
   for (const ChunkRef &Ref : Chunks)
     if (Ref.Tag == Tag)
       return ChunkReader(Bytes.data() + Ref.Offset, Ref.Size);
-  char Name[5] = {static_cast<char>(Tag), static_cast<char>(Tag >> 8),
-                  static_cast<char>(Tag >> 16), static_cast<char>(Tag >> 24),
-                  0};
-  return makeError<ChunkReader>(std::string("archive has no '") + Name +
-                                "' chunk");
-}
-
-std::vector<uint32_t> ArchiveReader::tags() const {
-  std::vector<uint32_t> Tags;
-  Tags.reserve(Chunks.size());
-  for (const ChunkRef &Ref : Chunks)
-    Tags.push_back(Ref.Tag);
-  return Tags;
+  return makeError<ChunkReader>("archive has no '" + tagName(Tag) + "' chunk");
 }
 
 //===----------------------------------------------------------------------===//

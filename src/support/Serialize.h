@@ -51,20 +51,15 @@ public:
   void beginChunk(uint32_t Tag);
   void endChunk();
 
-  void writeU8(uint8_t Value);
   void writeU32(uint32_t Value);
   void writeU64(uint64_t Value);
-  void writeI64(int64_t Value);
   void writeBool(bool Value);
   /// The exact IEEE-754 bit pattern (NaNs and signed zeros included).
   void writeDouble(double Value);
-  void writeString(const std::string &Value);
   void writeDoubles(const std::vector<double> &Values);
   /// Pointer/count form for buffers with non-default allocators (the
   /// aligned tensor buffers).
   void writeDoubles(const double *Values, size_t Count);
-  void writeU64s(const std::vector<uint64_t> &Values);
-  void writeU32s(const std::vector<unsigned> &Values);
 
   /// Seals the archive and returns its bytes. No chunk may be open.
   std::vector<uint8_t> finish();
@@ -82,27 +77,21 @@ private:
 };
 
 /// A bounds-checked cursor over one chunk's payload. Reads past the end
-/// (or malformed strings/vectors) set a sticky error instead of
+/// (or malformed vectors) set a sticky error instead of
 /// touching out-of-range memory; callers check ok() once after a batch
 /// of reads.
 class ChunkReader {
 public:
   ChunkReader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
 
-  uint8_t readU8();
   uint32_t readU32();
   uint64_t readU64();
-  int64_t readI64();
   bool readBool();
   double readDouble();
-  std::string readString();
   std::vector<double> readDoubles();
-  std::vector<uint64_t> readU64s();
-  std::vector<unsigned> readU32s();
 
   bool ok() const { return !Failed; }
   const std::string &error() const { return Message; }
-  bool atEnd() const { return Failed || Pos == Size; }
   size_t remaining() const { return Failed ? 0 : Size - Pos; }
 
 private:
@@ -117,29 +106,30 @@ private:
 };
 
 /// Parses and validates a whole archive up front: magic, format
-/// version, chunk framing and every chunk's CRC. Chunks are then
-/// addressed by tag; the reader owns the bytes, so ChunkReaders stay
-/// valid for its lifetime.
+/// version, chunk framing, every chunk's CRC and tag uniqueness.
+/// Chunks are then addressed by tag; the reader owns the bytes, so
+/// ChunkReaders stay valid for its lifetime.
+///
+/// A caller names the newest version it understands and accepts every
+/// version from 1 up to it, so a format change that only drops chunks
+/// needs no per-version branch: the dropped chunks are simply never
+/// looked up. Version 0 and versions newer than the caller's are
+/// rejected.
 class ArchiveReader {
 public:
-  /// Validates \p Bytes as a version-\p ExpectVersion archive.
+  /// Validates \p Bytes as an archive of version 1..\p NewestVersion.
   static Expected<ArchiveReader> fromBytes(std::vector<uint8_t> Bytes,
-                                           uint32_t ExpectVersion);
+                                           uint32_t NewestVersion);
 
   /// Reads and validates the file at \p Path.
   static Expected<ArchiveReader> fromFile(const std::string &Path,
-                                          uint32_t ExpectVersion);
+                                          uint32_t NewestVersion);
 
   uint32_t version() const { return Version; }
 
-  bool hasChunk(uint32_t Tag) const;
-
-  /// A payload cursor over the first chunk tagged \p Tag; fails when
-  /// the archive has no such chunk.
+  /// A payload cursor over the chunk tagged \p Tag; fails when the
+  /// archive has no such chunk.
   Expected<ChunkReader> chunk(uint32_t Tag) const;
-
-  /// Tags in archive order (duplicates preserved).
-  std::vector<uint32_t> tags() const;
 
   /// Re-serializes the archive: the identical bytes it was parsed from.
   const std::vector<uint8_t> &bytes() const { return Bytes; }

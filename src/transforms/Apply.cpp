@@ -63,7 +63,6 @@ OpTransformState::applyTiled(const Transformation &T, bool Parallel) {
   Bands.push_back(std::move(NewBand));
   if (Parallel)
     Bands.front().Parallel = true;
-  ++NumApplied;
   return ApplyResult::success();
 }
 
@@ -77,7 +76,6 @@ OpTransformState::applyInterchange(const Transformation &T) {
   for (unsigned Level = 0; Level < Order.size(); ++Level)
     NewOrder[Level] = Order[T.Permutation[Level]];
   Order = std::move(NewOrder);
-  ++NumApplied;
   return ApplyResult::success();
 }
 
@@ -87,7 +85,6 @@ OpTransformState::ApplyResult OpTransformState::applyVectorization() {
   if (!isVectorizationLegal(Op, getInnermostTrip()))
     return ApplyResult::failure("vectorization pre-conditions not met");
   Vectorized = true;
-  ++NumApplied;
   return ApplyResult::success();
 }
 
@@ -113,7 +110,6 @@ OpTransformState::apply(const Transformation &T) {
   case TransformKind::Vectorization:
     return applyVectorization();
   case TransformKind::NoTransformation:
-    ++NumApplied;
     return ApplyResult::success();
   }
   MLIRRL_UNREACHABLE("unknown transform kind");

@@ -40,7 +40,6 @@ public:
   const std::vector<unsigned> &getOrder() const { return Order; }
   const std::vector<Band> &getBands() const { return Bands; }
   bool isVectorized() const { return Vectorized; }
-  unsigned getNumApplied() const { return NumApplied; }
 
   /// Point-loop trip count per original dimension after all bands.
   std::vector<int64_t> getPointTrips() const;
@@ -74,7 +73,6 @@ private:
   std::vector<unsigned> Order;
   std::vector<Band> Bands;
   bool Vectorized = false;
-  unsigned NumApplied = 0;
 };
 
 /// Replays \p Sched's transformation sequence against \p Op. Fails with

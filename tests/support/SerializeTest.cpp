@@ -3,9 +3,10 @@
 // The binary archive layer under checkpoints: scalar encodings
 // round-trip bitwise (NaN payloads and signed zeros included), writing
 // the same logical content twice is byte-identical, and every flavor of
-// damage -- flipped payload bytes, truncation, a bad magic, a foreign
-// version, oversized vector counts -- fails with a clean error instead
-// of crashing or returning garbage.
+// damage -- flipped payload bytes, truncation, a bad magic, a version
+// newer than the reader's or version 0, a repeated chunk tag, oversized
+// vector counts -- fails with a clean error instead of crashing or
+// returning garbage.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,19 +34,14 @@ constexpr uint32_t kOther = fourCC('O', 'T', 'H', 'R');
 std::vector<uint8_t> scalarArchive() {
   ArchiveWriter W(kTestVersion);
   W.beginChunk(kTag);
-  W.writeU8(0xAB);
   W.writeU32(0xDEADBEEFu);
   W.writeU64(0x0123456789ABCDEFull);
-  W.writeI64(-42);
   W.writeBool(true);
   W.writeDouble(-0.0);
   W.writeDouble(std::numeric_limits<double>::quiet_NaN());
   W.writeDouble(std::numeric_limits<double>::infinity());
   W.writeDouble(0x1.fffffffffffffp+1023);
-  W.writeString("checkpointed long trainings");
   W.writeDoubles({1.5, -2.25, 0.0});
-  W.writeU64s({1, 2, 3});
-  W.writeU32s({4, 5});
   W.endChunk();
   return W.finish();
 }
@@ -57,14 +53,11 @@ TEST(SerializeTest, ScalarsRoundTripBitwise) {
       ArchiveReader::fromBytes(scalarArchive(), kTestVersion);
   ASSERT_TRUE(Reader.hasValue()) << Reader.getError();
   EXPECT_EQ(Reader->version(), kTestVersion);
-  ASSERT_TRUE(Reader->hasChunk(kTag));
 
   Expected<ChunkReader> Chunk = Reader->chunk(kTag);
   ASSERT_TRUE(Chunk.hasValue());
-  EXPECT_EQ(Chunk->readU8(), 0xAB);
   EXPECT_EQ(Chunk->readU32(), 0xDEADBEEFu);
   EXPECT_EQ(Chunk->readU64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(Chunk->readI64(), -42);
   EXPECT_TRUE(Chunk->readBool());
   EXPECT_SAME_BITS(Chunk->readDouble(), -0.0);
   double Nan = Chunk->readDouble();
@@ -72,14 +65,11 @@ TEST(SerializeTest, ScalarsRoundTripBitwise) {
   EXPECT_SAME_BITS(Chunk->readDouble(),
                    std::numeric_limits<double>::infinity());
   EXPECT_SAME_BITS(Chunk->readDouble(), 0x1.fffffffffffffp+1023);
-  EXPECT_EQ(Chunk->readString(), "checkpointed long trainings");
   std::vector<double> Doubles = Chunk->readDoubles();
   ASSERT_EQ(Doubles.size(), 3u);
   EXPECT_SAME_BITS(Doubles[1], -2.25);
-  EXPECT_EQ(Chunk->readU64s(), (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(Chunk->readU32s(), (std::vector<unsigned>{4, 5}));
   EXPECT_TRUE(Chunk->ok());
-  EXPECT_TRUE(Chunk->atEnd());
+  EXPECT_EQ(Chunk->remaining(), 0u);
 }
 
 TEST(SerializeTest, ChunksAreAddressedByTag) {
@@ -93,12 +83,26 @@ TEST(SerializeTest, ChunksAreAddressedByTag) {
   Expected<ArchiveReader> Reader =
       ArchiveReader::fromBytes(W.finish(), kTestVersion);
   ASSERT_TRUE(Reader.hasValue()) << Reader.getError();
-  EXPECT_EQ(Reader->tags(), (std::vector<uint32_t>{kTag, kOther}));
   EXPECT_EQ(Reader->chunk(kOther)->readU32(), 2u);
   EXPECT_EQ(Reader->chunk(kTag)->readU32(), 1u);
   Expected<ChunkReader> Missing = Reader->chunk(fourCC('N', 'O', 'N', 'E'));
   EXPECT_FALSE(Missing.hasValue());
   EXPECT_NE(Missing.getError().find("NONE"), std::string::npos);
+}
+
+TEST(SerializeTest, RepeatedChunkTagIsRejected) {
+  // A second chunk of one tag would otherwise be shadowed by the first.
+  ArchiveWriter W(kTestVersion);
+  for (uint32_t Value : {1u, 2u}) {
+    W.beginChunk(kTag);
+    W.writeU32(Value);
+    W.endChunk();
+  }
+  Expected<ArchiveReader> Reader =
+      ArchiveReader::fromBytes(W.finish(), kTestVersion);
+  ASSERT_FALSE(Reader.hasValue());
+  EXPECT_NE(Reader.getError().find("TST"), std::string::npos)
+      << Reader.getError();
 }
 
 TEST(SerializeTest, RandomArchivesSurviveFileRoundTripByteIdentically) {
@@ -159,8 +163,25 @@ TEST(SerializeTest, BadMagicAndForeignVersionAreRejected) {
     EXPECT_NE(Reader.getError().find("magic"), std::string::npos);
   }
   {
+    // A reader takes every version up to the newest it names.
     Expected<ArchiveReader> Reader =
         ArchiveReader::fromBytes(Bytes, kTestVersion + 1);
+    ASSERT_TRUE(Reader.hasValue()) << Reader.getError();
+    EXPECT_EQ(Reader->version(), kTestVersion);
+  }
+  {
+    Expected<ArchiveReader> Reader =
+        ArchiveReader::fromBytes(Bytes, kTestVersion - 1);
+    ASSERT_FALSE(Reader.hasValue());
+    EXPECT_NE(Reader.getError().find("version"), std::string::npos);
+  }
+  {
+    ArchiveWriter W(0);
+    W.beginChunk(kTag);
+    W.writeU32(1);
+    W.endChunk();
+    Expected<ArchiveReader> Reader =
+        ArchiveReader::fromBytes(W.finish(), kTestVersion);
     ASSERT_FALSE(Reader.hasValue());
     EXPECT_NE(Reader.getError().find("version"), std::string::npos);
   }
