@@ -87,8 +87,16 @@ if git ls-files | grep -E '^build/|\.o$' >/dev/null; then
 fi
 
 # --- Tier-1 verify --------------------------------------------------------
+# The build log is kept in build/ and any compiler warning fails the
+# gate. An incremental build prints warnings only for the files it
+# recompiles, so only a cold build checks every file.
 cmake -B build -S .
-cmake --build build -j "$(nproc)"
+cmake --build build -j "$(nproc)" 2>&1 | tee build/build.log
+if grep -q 'warning:' build/build.log; then
+  echo "error: the build printed warnings:" >&2
+  grep 'warning:' build/build.log >&2
+  exit 1
+fi
 
 # --- Static analysis (best-effort) ----------------------------------------
 # The curated .clang-tidy check set over the library sources, replaying
@@ -164,14 +172,16 @@ fi
 # ctest never compiles perfbench/, so a src/ API change that breaks the
 # benchmark's build would pass the suite. Build it in its own tree under
 # build/ (its own CMake cache) and run every workload for one traced
-# second. Each result line must read "correct": true; for train_ops that
-# includes its public-call replay reproducing trainIteration's losses
-# bitwise.
+# second. Each result line must read "correct": true -- for train_ops
+# that includes its public-call replay reproducing trainIteration's
+# losses bitwise -- and "failed": 0, as every committed record under
+# bench/records/ does.
 for workload in train_ops serve_repeat env_fresh; do
   result=$(CARGO_TARGET_DIR=build/perfbench-ci python3 perfbench/run.py \
              --workload "$workload" --seed 1 --seconds 1 --trace 1 |
            tail -n 1) || true
-  if [[ "$result" != *'"correct": true'* ]]; then
+  if [[ "$result" != *'"correct": true'* ||
+        "$result" != *'"failed": 0,'* ]]; then
     echo "error: perfbench $workload smoke failed: $result" >&2
     exit 1
   fi

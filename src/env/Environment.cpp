@@ -20,7 +20,6 @@ Environment::Environment(EnvConfig Config, Evaluator &Eval, Module Sample)
   if (Config.ActionSpace == ActionSpaceMode::Flat)
     FlatActions = buildFlatActionList(Config);
   StaticFeat.resize(this->Sample.getNumOps());
-  ProducerFeat.resize(this->Sample.getNumOps());
 
   // The fresh state is the unscheduled module, so pricing it is the
   // baseline, bitwise (materializeBaseline is materializeModule under
@@ -122,18 +121,6 @@ double Environment::rewardAfterEffectiveStep() {
   return Reward;
 }
 
-void Environment::recordHistoryForTiled(TransformKind Kind,
-                                        const std::vector<unsigned> &SizeIdx) {
-  History.recordTiled(TauUsed, Kind, SizeIdx);
-  ++HistoryVersion;
-}
-
-void Environment::recordHistoryForInterchange(
-    const std::vector<int> &Placement) {
-  History.recordInterchange(TauUsed, Placement);
-  ++HistoryVersion;
-}
-
 bool Environment::applyTransform(const Transformation &T, int Producer) {
   // Trial-apply against a copy: the engine's routine rejections leave
   // the step a silent no-op exactly as before (trajectory-preserving),
@@ -192,7 +179,7 @@ Environment::StepOutcome Environment::step(const AgentAction &Action) {
                   static_cast<int>(Choice)) == PartialPlacement.end()) {
       PartialPlacement[NextPointerPos] = static_cast<int>(Choice);
       ++NextPointerPos;
-      recordHistoryForInterchange(PartialPlacement);
+      History.recordInterchange(TauUsed, PartialPlacement);
     }
     if (NextPointerPos == N) {
       // Complete: build the permutation over the full loop count
@@ -244,7 +231,7 @@ Environment::StepOutcome Environment::step(const AgentAction &Action) {
             : Transformation::tiledParallelization(
                   tileSizesFromAction(Decoded));
     if (applyTransform(T))
-      recordHistoryForTiled(Decoded.Kind, Decoded.TileSizeIdx);
+      History.recordTiled(TauUsed, Decoded.Kind, Decoded.TileSizeIdx);
     ++TauUsed;
     Outcome.Reward = rewardAfterEffectiveStep();
     break;
@@ -254,7 +241,7 @@ Environment::StepOutcome Environment::step(const AgentAction &Action) {
     Transformation T =
         Transformation::tiledFusion(tileSizesFromAction(Decoded));
     if (Producer >= 0 && applyTransform(T, Producer))
-      recordHistoryForTiled(Decoded.Kind, Decoded.TileSizeIdx);
+      History.recordTiled(TauUsed, Decoded.Kind, Decoded.TileSizeIdx);
     ++TauUsed;
     Outcome.Reward = rewardAfterEffectiveStep();
     break;
@@ -268,7 +255,7 @@ Environment::StepOutcome Environment::step(const AgentAction &Action) {
         PartialPlacement[0] = static_cast<int>(Action.PointerChoice);
         NextPointerPos = 1;
         InPointerSequence = true;
-        recordHistoryForInterchange(PartialPlacement);
+        History.recordInterchange(TauUsed, PartialPlacement);
         if (N == 1) {
           // Degenerate single-loop interchange: identity, complete now.
           InPointerSequence = false;
@@ -290,7 +277,7 @@ Environment::StepOutcome Environment::step(const AgentAction &Action) {
           std::vector<int> Placement(Op.getNumLoops());
           for (unsigned L = 0; L < Op.getNumLoops(); ++L)
             Placement[L] = static_cast<int>(T.Permutation[L]);
-          recordHistoryForInterchange(Placement);
+          History.recordInterchange(TauUsed, std::move(Placement));
         }
       }
       ++TauUsed;
@@ -343,7 +330,6 @@ void Environment::advanceToNextOp() {
     --Next;
   CurrentOp = Next;
   History = ActionHistory();
-  ++HistoryVersion;
   TauUsed = 0;
   InPointerSequence = false;
   if (CurrentOp < 0) {
@@ -358,29 +344,10 @@ double Environment::currentSpeedup() {
   return BaselineSeconds / measuredModuleTime();
 }
 
-const std::vector<double> &Environment::staticFeatures(unsigned OpIdx) {
-  std::vector<double> &F = StaticFeat[OpIdx];
+const SparseRow &Environment::staticFeatures(unsigned OpIdx) {
+  SparseRow &F = StaticFeat[OpIdx];
   if (F.empty())
-    F = Feat.featurizeStatic(Sample, Sample.getOp(OpIdx));
-  return F;
-}
-
-const std::vector<double> &Environment::consumerFeatures() {
-  if (ConsumerFeatOp != CurrentOp || ConsumerFeatVersion != HistoryVersion) {
-    ConsumerFeat = staticFeatures(static_cast<unsigned>(CurrentOp));
-    Feat.appendHistory(History, ConsumerFeat);
-    ConsumerFeatOp = CurrentOp;
-    ConsumerFeatVersion = HistoryVersion;
-  }
-  return ConsumerFeat;
-}
-
-const std::vector<double> &Environment::producerFeatures(unsigned OpIdx) {
-  std::vector<double> &F = ProducerFeat[OpIdx];
-  if (F.empty()) {
-    F = staticFeatures(OpIdx);
-    Feat.appendHistory(ActionHistory(), F);
-  }
+    F = Feat.featurizeStatic(Sample.getOp(OpIdx));
   return F;
 }
 
@@ -397,20 +364,18 @@ void Environment::computeObservation() {
 
   int Producer = findProducerCandidate();
   if (Config.Incremental) {
-    // Delta featurization: static prefixes are computed once per op,
-    // the consumer's history slabs only when the history moved, and
-    // producer vectors once per op (empty history). Values are
+    // Delta featurization: static prefixes are computed once per op and
+    // the consumer appends its history entries. A producer's history is
+    // empty and appends none, so its row is its cached prefix. Rows are
     // bitwise-identical to the from-scratch featurize() calls below.
-    Obs.Consumer = consumerFeatures();
-    Obs.Producer = Producer >= 0
-                       ? producerFeatures(static_cast<unsigned>(Producer))
-                       : Feat.zeroVector();
+    Obs.Consumer = staticFeatures(static_cast<unsigned>(CurrentOp));
+    Feat.appendHistory(History, Obs.Consumer);
+    if (Producer >= 0)
+      Obs.Producer = staticFeatures(static_cast<unsigned>(Producer));
   } else {
-    Obs.Consumer = Feat.featurize(Sample, Op, History);
-    Obs.Producer = Producer >= 0
-                       ? Feat.featurize(Sample, Sample.getOp(Producer),
-                                        ActionHistory())
-                       : Feat.zeroVector();
+    Obs.Consumer = Feat.featurize(Op, History);
+    if (Producer >= 0)
+      Obs.Producer = Feat.featurize(Sample.getOp(Producer), ActionHistory());
   }
 
   // Transformation mask.

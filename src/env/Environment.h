@@ -27,10 +27,14 @@
 
 namespace mlirrl {
 
-/// What the agent sees before acting.
+/// What the agent sees before acting. The two feature rows are held as
+/// their nonzero entries (support/SparseRows.h), featureSize() wide.
 struct Observation {
-  std::vector<double> Consumer;
-  std::vector<double> Producer;        // zeros when there is no producer
+  /// The current operation under its action history.
+  SparseRow Consumer;
+  /// The fusion candidate under an empty history; empty (all zeros)
+  /// when there is no producer.
+  SparseRow Producer;
   std::vector<double> TransformMask;   // 6 entries, 0/1
   std::vector<double> InterchangeMask; // head-size entries, 0/1
   std::vector<double> FlatMask;        // flat mode only
@@ -84,9 +88,6 @@ public:
 
 private:
   void computeObservation();
-  void recordHistoryForTiled(TransformKind Kind,
-                             const std::vector<unsigned> &SizeIdx);
-  void recordHistoryForInterchange(const std::vector<int> &Placement);
   double rewardAfterEffectiveStep();
   void finishCurrentOp();
   void advanceToNextOp();
@@ -106,12 +107,7 @@ private:
   /// Fused producers of the operation currently being optimized.
   const std::vector<unsigned> &currentFusedProducers() const;
   /// Cached static feature prefix of op \p OpIdx (incremental path).
-  const std::vector<double> &staticFeatures(unsigned OpIdx);
-  /// Consumer features of the current op under the current history
-  /// (cached; recomputed only when the history version moved).
-  const std::vector<double> &consumerFeatures();
-  /// Producer features of op \p OpIdx (empty history; cached per op).
-  const std::vector<double> &producerFeatures(unsigned OpIdx);
+  const SparseRow &staticFeatures(unsigned OpIdx);
 
   EnvConfig Config;
   Featurizer Feat;
@@ -133,15 +129,9 @@ private:
   /// (the step's reward is then docked by Config.CheckFailurePenalty).
   bool CheckFailedThisStep = false;
 
-  // Feature caches (incremental path). HistoryVersion moves on every
-  // history mutation and on op advance; the consumer cache is keyed by
-  // (op, version) so untouched steps reuse the full vector.
-  std::vector<std::vector<double>> StaticFeat;
-  std::vector<std::vector<double>> ProducerFeat;
-  std::vector<double> ConsumerFeat;
-  int ConsumerFeatOp = -1;
-  uint64_t ConsumerFeatVersion = 0;
-  uint64_t HistoryVersion = 1;
+  /// Per-op static feature prefixes (incremental path; empty until
+  /// first featurized).
+  std::vector<SparseRow> StaticFeat;
 
   // Level-pointer sequence state.
   bool InPointerSequence = false;

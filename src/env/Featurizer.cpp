@@ -75,33 +75,33 @@ static unsigned opTypeIndex(OpKind Kind) {
   MLIRRL_UNREACHABLE("unknown op kind");
 }
 
-std::vector<double> Featurizer::featurizeStatic(const Module &M,
-                                                const LinalgOp &Op) const {
+SparseRow Featurizer::featurizeStatic(const LinalgOp &Op) const {
   unsigned N = Config.MaxLoops;
-  std::vector<double> Out;
-  Out.reserve(featureSize());
+  SparseRow Out;
+  // Every value takes the next column; only nonzeros are kept.
+  unsigned Col = 0;
+  auto Push = [&](double V) {
+    if (V != 0.0)
+      Out.push_back({Col, V});
+    ++Col;
+  };
 
   // 1) Operation type.
   for (unsigned I = 0; I < 6; ++I)
-    Out.push_back(I == opTypeIndex(Op.getKind()) ? 1.0 : 0.0);
+    Push(I == opTypeIndex(Op.getKind()) ? 1.0 : 0.0);
 
   // 2) Loop ranges: normalized log2(bound), parallel flag, reduction flag.
-  for (unsigned L = 0; L < N; ++L) {
-    if (L < Op.getNumLoops()) {
-      Out.push_back(std::log2(static_cast<double>(Op.getLoopBound(L))) /
-                    16.0);
-      bool Parallel = Op.getIterator(L) == IteratorKind::Parallel;
-      Out.push_back(Parallel ? 1.0 : 0.0);
-      Out.push_back(Parallel ? 0.0 : 1.0);
-    } else {
-      Out.push_back(0.0);
-      Out.push_back(0.0);
-      Out.push_back(0.0);
-    }
+  // Absent loops are all-zero.
+  for (unsigned L = 0; L < std::min(N, Op.getNumLoops()); ++L) {
+    Push(std::log2(static_cast<double>(Op.getLoopBound(L))) / 16.0);
+    bool Parallel = Op.getIterator(L) == IteratorKind::Parallel;
+    Push(Parallel ? 1.0 : 0.0);
+    Push(Parallel ? 0.0 : 1.0);
   }
+  Col = 6 + N * 3;
 
   // 3) Vectorization pre-condition flag.
-  Out.push_back(vectorizationPrecondition(Op) ? 1.0 : 0.0);
+  Push(vectorizationPrecondition(Op) ? 1.0 : 0.0);
 
   // 4) Indexing maps as access matrices (inputs then output), padded to
   // MaxArrays tensors of MaxRank rows and N+1 columns (constant last).
@@ -120,7 +120,7 @@ std::vector<double> Featurizer::featurizeStatic(const Module &M,
         }
         // Coefficients are small integers; constants can be large
         // (crops, reversals), so squash them.
-        Out.push_back(std::clamp(Value / 8.0, -4.0, 4.0));
+        Push(std::clamp(Value / 8.0, -4.0, 4.0));
       }
     }
   };
@@ -135,70 +135,63 @@ std::vector<double> Featurizer::featurizeStatic(const Module &M,
     EmitMap(Op.getOutputMap());
     ++Emitted;
   }
-  for (; Emitted < Config.MaxArrays; ++Emitted)
-    for (unsigned I = 0; I < Config.MaxRank * (N + 1); ++I)
-      Out.push_back(0.0);
-  (void)M;
+  Col += (Config.MaxArrays - Emitted) * Config.MaxRank * (N + 1);
 
   // 5) Arithmetic operation counts (log1p-normalized).
   const ArithCounts &A = Op.getArith();
   for (int64_t Count : {A.Add, A.Sub, A.Mul, A.Div, A.Exp})
-    Out.push_back(std::log1p(static_cast<double>(Count)));
+    Push(std::log1p(static_cast<double>(Count)));
 
-  assert(Out.size() == staticFeatureSize() && "static feature layout drift");
+  assert(Col == staticFeatureSize() && "static feature layout drift");
   return Out;
 }
 
 void Featurizer::appendHistory(const ActionHistory &History,
-                               std::vector<double> &Out) const {
+                               SparseRow &Out) const {
   // 6) Action history: tau x N x M tiled slab, then tau x N x N
   // interchange slab (Appendix A). Each (step, row) holds at most one
-  // hot entry, so grow Out once with zeros and set only the hot ones.
+  // hot entry. The tiled slab's entries for every step come first, then
+  // the interchange slab's, so columns stay ascending.
   const size_t N = Config.MaxLoops;
   const size_t Tau = Config.MaxScheduleLength;
   const size_t MSizes = Config.NumTileSizes;
-  const size_t TiledBase = Out.size();
+  const size_t TiledBase = staticFeatureSize();
   const size_t InterchangeBase = TiledBase + Tau * N * MSizes;
-  Out.resize(InterchangeBase + Tau * N * N, 0.0);
   const size_t Steps = std::min(Tau, History.Entries.size());
+  auto Hot = [&](size_t Col) {
+    Out.push_back({static_cast<unsigned>(Col), 1.0});
+  };
   for (size_t T = 0; T < Steps; ++T) {
     const ActionHistory::Entry &E = History.Entries[T];
-    if (!E.Used)
+    if (!E.Used || (E.Kind != TransformKind::Tiling &&
+                    E.Kind != TransformKind::TiledParallelization &&
+                    E.Kind != TransformKind::TiledFusion))
       continue;
-    switch (E.Kind) {
-    case TransformKind::Tiling:
-    case TransformKind::TiledParallelization:
-    case TransformKind::TiledFusion: {
-      double *Slab = Out.data() + TiledBase + T * N * MSizes;
-      const size_t Levels = std::min(N, E.TileSizeIdx.size());
-      for (size_t L = 0; L < Levels; ++L)
-        if (E.TileSizeIdx[L] < MSizes)
-          Slab[L * MSizes + E.TileSizeIdx[L]] = 1.0;
-      break;
-    }
-    case TransformKind::Interchange: {
-      double *Slab = Out.data() + InterchangeBase + T * N * N;
-      const size_t Positions = std::min(N, E.Placement.size());
-      for (size_t Pos = 0; Pos < Positions; ++Pos) {
-        // A pending position holds -1 and stays all-zero.
-        const int Loop = E.Placement[Pos];
-        if (Loop >= 0 && static_cast<size_t>(Loop) < N)
-          Slab[Pos * N + static_cast<size_t>(Loop)] = 1.0;
-      }
-      break;
-    }
-    case TransformKind::Vectorization:
-    case TransformKind::NoTransformation:
-      break;
+    const size_t Slab = TiledBase + T * N * MSizes;
+    const size_t Levels = std::min(N, E.TileSizeIdx.size());
+    for (size_t L = 0; L < Levels; ++L)
+      if (E.TileSizeIdx[L] < MSizes)
+        Hot(Slab + L * MSizes + E.TileSizeIdx[L]);
+  }
+  for (size_t T = 0; T < Steps; ++T) {
+    const ActionHistory::Entry &E = History.Entries[T];
+    if (!E.Used || E.Kind != TransformKind::Interchange)
+      continue;
+    const size_t Slab = InterchangeBase + T * N * N;
+    const size_t Positions = std::min(N, E.Placement.size());
+    for (size_t Pos = 0; Pos < Positions; ++Pos) {
+      // A pending position holds -1 and stays all-zero.
+      const int Loop = E.Placement[Pos];
+      if (Loop >= 0 && static_cast<size_t>(Loop) < N)
+        Hot(Slab + Pos * N + static_cast<size_t>(Loop));
     }
   }
 }
 
-std::vector<double> Featurizer::featurize(const Module &M, const LinalgOp &Op,
-                                          const ActionHistory &History) const {
-  std::vector<double> Out = featurizeStatic(M, Op);
+SparseRow Featurizer::featurize(const LinalgOp &Op,
+                                const ActionHistory &History) const {
+  SparseRow Out = featurizeStatic(Op);
   appendHistory(History, Out);
-  assert(Out.size() == featureSize() && "feature layout drift");
   return Out;
 }
 

@@ -15,7 +15,8 @@
 #define MLIRRL_ENV_FEATURIZER_H
 
 #include "env/Config.h"
-#include "ir/Module.h"
+#include "ir/LinalgOp.h"
+#include "support/SparseRows.h"
 #include "transforms/Schedule.h"
 
 #include <vector>
@@ -47,43 +48,38 @@ struct ActionHistory {
   void ensureSize(unsigned Steps);
 };
 
-/// Computes feature vectors of fixed layout from (operation, history).
+/// Computes feature rows of fixed layout from (operation, history).
 ///
 /// The layout is a static prefix (operation type, loop ranges,
 /// vectorization flag, access matrices, arithmetic counts -- a function
-/// of the operation alone) followed by the action-history slabs. The
-/// split is exposed so the environment can cache the static prefix per
-/// operation and re-emit only the history slabs the last action touched
-/// (delta featurization); featurize() itself is the concatenation, so
-/// both paths produce bitwise-identical vectors.
+/// of the operation alone) followed by the action-history slabs. A row
+/// is written as its nonzero entries, ascending by column
+/// (support/SparseRows.h): that is the only form an observation's rows
+/// take, from here to the LSTM gates. The split is exposed so the
+/// environment can cache the static prefix per operation and append
+/// only the history entries (delta featurization); featurize() itself
+/// is the concatenation, so both paths produce bitwise-identical rows.
 class Featurizer {
 public:
   explicit Featurizer(EnvConfig Config);
 
-  /// Total feature vector length (fixed across operations).
+  /// Total feature row width (fixed across operations).
   unsigned featureSize() const;
 
-  /// Length of the operation-only prefix (featureSize() minus the
+  /// Width of the operation-only prefix (featureSize() minus the
   /// history slabs).
   unsigned staticFeatureSize() const;
 
   /// Featurizes one operation with its action history.
-  std::vector<double> featurize(const Module &M, const LinalgOp &Op,
-                                const ActionHistory &History) const;
+  SparseRow featurize(const LinalgOp &Op, const ActionHistory &History) const;
 
-  /// The operation-only prefix (sections 1-5 of the layout).
-  std::vector<double> featurizeStatic(const Module &M,
-                                      const LinalgOp &Op) const;
+  /// The operation-only prefix (sections 1-5 of the layout). Never
+  /// empty: the operation-type one-hot always holds a 1.
+  SparseRow featurizeStatic(const LinalgOp &Op) const;
 
-  /// Appends the history slabs (section 6) to \p Out, which must hold a
-  /// static prefix.
-  void appendHistory(const ActionHistory &History,
-                     std::vector<double> &Out) const;
-
-  /// The all-zero vector standing in for a missing producer.
-  std::vector<double> zeroVector() const {
-    return std::vector<double>(featureSize(), 0.0);
-  }
+  /// Appends the history slabs' entries (section 6) to \p Out, which
+  /// must hold a static prefix. An empty history appends nothing.
+  void appendHistory(const ActionHistory &History, SparseRow &Out) const;
 
 private:
   EnvConfig Config;

@@ -24,7 +24,7 @@ void splitLinearBackward(const SparseRows &X, const Mat<double> &H,
   const unsigned N = Gate.outFeatures();
   for (unsigned I = 0; I < X.Rows; ++I) {
     const double *Gi = DY + static_cast<size_t>(I) * N;
-    for (const SparseRows::Entry &E : X.RowEntries[I]) {
+    for (const SparseEntry &E : X.RowEntries[I]) {
       double *Wk = gradOf(Gate.weight()) + static_cast<size_t>(E.Col) * N;
       for (unsigned J = 0; J < N; ++J)
         Wk[J] += E.Value * Gi[J];

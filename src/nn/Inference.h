@@ -14,6 +14,10 @@
 /// records nothing. So the log-probabilities and values a rollout stores
 /// are bitwise what the update recomputes before any parameter changes.
 ///
+/// The LSTM's input rows arrive as the featurizer writes them, as
+/// nonzero (column, value) entries (support/SparseRows.h): each gate
+/// touches only a row's nonzeros and never scans its dense width.
+///
 /// The float instantiation runs the float GEMM kernels and tracks the
 /// double one to float relative error (tests/rl/InferenceF32Test).
 ///
@@ -26,6 +30,7 @@
 #include "nn/Tensor.h"
 #include "support/AlignedAlloc.h"
 #include "support/Rng.h"
+#include "support/SparseRows.h"
 
 #include <algorithm>
 #include <cassert>
@@ -41,37 +46,6 @@ inline constexpr double MaskedLogit = -1e30;
 
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T, BufferAlignment>>;
-
-/// A batch of mostly-zero feature rows in compressed form: only the
-/// nonzero (column, value) pairs, ascending per row. Observation
-/// feature vectors are ~97% zeros (masking and padding), so compressing
-/// once per batch replaces the per-gate scans over the dense width.
-struct SparseRows {
-  struct Entry {
-    unsigned Col = 0;
-    double Value = 0.0;
-  };
-  unsigned Rows = 0;
-  unsigned Cols = 0;
-  std::vector<std::vector<Entry>> RowEntries;
-
-  /// Compresses one row per source vector (all the same length).
-  static SparseRows
-  fromRows(const std::vector<const std::vector<double> *> &Sources) {
-    SparseRows X;
-    X.Rows = static_cast<unsigned>(Sources.size());
-    X.Cols = Sources.empty() ? 0 : static_cast<unsigned>(Sources[0]->size());
-    X.RowEntries.resize(X.Rows);
-    for (unsigned I = 0; I < X.Rows; ++I) {
-      const std::vector<double> &Row = *Sources[I];
-      assert(Row.size() == X.Cols && "ragged sparse batch");
-      for (unsigned J = 0; J < X.Cols; ++J)
-        if (Row[J] != 0.0)
-          X.RowEntries[I].push_back({J, Row[J]});
-    }
-    return X;
-  }
-};
 
 /// The scalar activations.
 template <typename T> T sigmoidValue(T X) {
@@ -143,7 +117,7 @@ inline std::vector<const double *> valuesOf(const std::vector<Tensor> &Params) {
 template <typename T>
 void forwardProduct(unsigned M, unsigned N, unsigned K, const T *A, const T *B,
                     T *C) {
-  auto SparseRow = [&](unsigned I) {
+  auto ZeroSkippingRow = [&](unsigned I) {
     const T *__restrict Ai = A + static_cast<size_t>(I) * K;
     T *__restrict Ci = C + static_cast<size_t>(I) * N;
     for (unsigned Kk = 0; Kk < K; ++Kk) {
@@ -156,7 +130,7 @@ void forwardProduct(unsigned M, unsigned N, unsigned K, const T *A, const T *B,
     }
   };
   if (M == 1) {
-    SparseRow(0);
+    ZeroSkippingRow(0);
     return;
   }
   // Batched: pick the path per the measured density. The scan is ~N
@@ -167,7 +141,7 @@ void forwardProduct(unsigned M, unsigned N, unsigned K, const T *A, const T *B,
     Nnz += A[I] != T(0);
   if (Nnz * 2 < Total) {
     for (unsigned I = 0; I < M; ++I)
-      SparseRow(I);
+      ZeroSkippingRow(I);
     return;
   }
   gemmAccNN(M, N, K, A, K, B, N, C, N);
@@ -181,7 +155,7 @@ void linearInto(unsigned M, const T *X, const LinearWeights<T> &L, T *Y) {
   forwardProduct(M, L.Out, L.In, X, L.W, Y);
 }
 
-/// Y = [X, H] . W + bias with X in compressed sparse form and H the
+/// Y = [X, H] . W + bias with X as sparse rows and H the
 /// dense X.Rows x (In - X.Cols) rest, written into \p Y: an LSTM gate
 /// over [x, h] without materializing the concatenation. The nonzero X
 /// columns accumulate k ascending, then the H rows of W, so the result
@@ -193,7 +167,7 @@ void linearSplitSparseInto(const SparseRows &X, const T *H,
   for (unsigned R = 0; R < X.Rows; ++R) {
     T *Yr = Y + static_cast<size_t>(R) * L.Out;
     std::copy(L.B, L.B + L.Out, Yr);
-    for (const SparseRows::Entry &E : X.RowEntries[R]) {
+    for (const SparseEntry &E : X.RowEntries[R]) {
       const T V = static_cast<T>(E.Value);
       const T *Wk = L.W + static_cast<size_t>(E.Col) * L.Out;
       for (unsigned J = 0; J < L.Out; ++J)

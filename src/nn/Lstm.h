@@ -6,7 +6,7 @@
 /// uses the final hidden state as the producer-consumer embedding
 /// (Sec. V-A1). The cell owns the gate parameters; lstmForward
 /// (nn/Inference.h) and lstmBackward (nn/Backward.h) run it over
-/// compressed sparse input batches.
+/// batches of sparse feature rows (support/SparseRows.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -112,12 +112,12 @@ struct HeadTerm {
   }
 };
 
-/// What a minibatch evaluation's backward reads: the compressed
-/// observations both tapes point into, both networks' tapes, the head
+/// What a minibatch evaluation's backward reads: the gathered feature
+/// rows both tapes point into, both networks' tapes, the head
 /// terms and the heads' logits gradients. The evaluation's graph nodes
 /// own it, so it lives exactly as long as the minibatch's graph.
 struct EvaluationTape {
-  std::shared_ptr<const SparseRows> Producer, Consumer;
+  SparseRows Producer, Consumer;
   TrunkTape<double> Policy, Value;
   std::vector<HeadTerm> Terms;
   PolicyNet::Logits<double> DLogits;
@@ -228,28 +228,25 @@ ActorCritic::actBatch(const std::vector<const Observation *> &Batch,
                       const std::vector<Rng *> &Rngs, bool Greedy) const {
   assert(!Batch.empty() && Batch.size() == Rngs.size() &&
          "one RNG stream per observation");
-  // Compressed once for the actor and the critic.
-  std::shared_ptr<const SparseRows> Producer =
-      PolicyNet::compressRows(Batch, &Observation::Producer);
-  std::shared_ptr<const SparseRows> Consumer =
-      PolicyNet::compressRows(Batch, &Observation::Consumer);
+  // Gathered once for the actor and the critic.
+  const SparseRows Producer = Policy.gatherRows(Batch, &Observation::Producer);
+  const SparseRows Consumer = Policy.gatherRows(Batch, &Observation::Consumer);
   // Greedy inference consumes no RNG draws and no critic values, so the
   // whole forward pass can run in float.
   if (Greedy && Inference == InferenceDtype::F32) {
     std::shared_ptr<const PackedF32> Packed = packedPolicy();
     return chooseActions(
-        Env, Policy.forwardLogits(*Producer, *Consumer, Packed->values()),
+        Env, Policy.forwardLogits(Producer, Consumer, Packed->values()),
         Batch, Rngs, Greedy);
   }
   std::vector<Sampled> Out = chooseActions(
       Env,
-      Policy.forwardLogits(*Producer, *Consumer,
-                           valuesOf(Policy.parameters())),
+      Policy.forwardLogits(Producer, Consumer, valuesOf(Policy.parameters())),
       Batch, Rngs, Greedy);
   // Rollouts store the critic's baseline; greedy (deployment) inference
   // only consumes the actions.
   if (!Greedy) {
-    Mat<double> Values = Value.forwardValues(*Producer, *Consumer);
+    Mat<double> Values = Value.forwardValues(Producer, Consumer);
     for (size_t R = 0; R < Out.size(); ++R)
       Out[R].Value = Values.at(static_cast<unsigned>(R), 0);
   }
@@ -293,14 +290,14 @@ ActorCritic::evaluateBatch(const std::vector<const Observation *> &Obs,
          "one action per observation");
   const unsigned B = static_cast<unsigned>(Obs.size());
   auto Tape = std::make_shared<EvaluationTape>();
-  Tape->Producer = PolicyNet::compressRows(Obs, &Observation::Producer);
-  Tape->Consumer = PolicyNet::compressRows(Obs, &Observation::Consumer);
+  Tape->Producer = Policy.gatherRows(Obs, &Observation::Producer);
+  Tape->Consumer = Policy.gatherRows(Obs, &Observation::Consumer);
   std::vector<Tensor> PolicyParams = Policy.parameters();
   PolicyNet::Logits<double> Logits =
-      Policy.forwardLogits(*Tape->Producer, *Tape->Consumer,
+      Policy.forwardLogits(Tape->Producer, Tape->Consumer,
                            valuesOf(PolicyParams), &Tape->Policy);
   Mat<double> Values =
-      Value.forwardValues(*Tape->Producer, *Tape->Consumer, &Tape->Value);
+      Value.forwardValues(Tape->Producer, Tape->Consumer, &Tape->Value);
 
   // Every term's log-softmax; a row's log-probability and entropy sum
   // its terms in order (inactive rows add exact zeros).

@@ -41,8 +41,8 @@ template <typename T>
 Mat<T> trunkForward(const LstmCell &Lstm, const Mlp &Backbone,
                     WeightCursor<T> &Weights, const SparseRows &Producer,
                     const SparseRows &Consumer, TrunkTape<T> *Tape) {
-  // Gate widths come from the cell, not the data, so lstmForward's shape
-  // assert checks the feature width against the weights.
+  // Gate widths come from the cell, not the data; gatherRows checks
+  // every row's columns against the cell's input width.
   const unsigned Hidden = Lstm.hiddenSize();
   const unsigned In = Lstm.inputSize() + Hidden;
   // Braced initializers are evaluated in order: the gates' order in
@@ -91,16 +91,20 @@ PolicyNet::PolicyNet(const EnvConfig &Env, unsigned FeatureSize,
                            Env.MaxLoops * Env.NumTileSizes, Rng);
 }
 
-/// Compresses one observation field across the batch (feature rows are
-/// ~97% zeros; every LSTM gate then touches only the nonzeros).
-std::shared_ptr<const SparseRows>
-PolicyNet::compressRows(const std::vector<const Observation *> &Batch,
-                        const std::vector<double> Observation::*Field) {
-  std::vector<const std::vector<double> *> Sources;
-  Sources.reserve(Batch.size());
-  for (const Observation *Obs : Batch)
-    Sources.push_back(&(Obs->*Field));
-  return std::make_shared<const SparseRows>(SparseRows::fromRows(Sources));
+SparseRows
+PolicyNet::gatherRows(const std::vector<const Observation *> &Batch,
+                      const SparseRow Observation::*Field) const {
+  SparseRows X;
+  X.Rows = static_cast<unsigned>(Batch.size());
+  X.Cols = Lstm.inputSize();
+  X.RowEntries.reserve(Batch.size());
+  for (const Observation *Obs : Batch) {
+    const SparseRow &Row = Obs->*Field;
+    assert((Row.empty() || Row.back().Col < X.Cols) &&
+           "feature row wider than the LSTM input");
+    X.RowEntries.push_back(Row);
+  }
+  return X;
 }
 
 template <typename T>

@@ -11,6 +11,9 @@
 ///
 /// Each network has one forward (nn/Inference.h) and one explicit
 /// backward (nn/Backward.h) over the tape a recorded forward leaves.
+/// The LSTM reads the observations' feature rows in the form the
+/// featurizer writes them, nonzero entries only; a batch's rows are
+/// gathered, never converted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,13 +60,13 @@ public:
     nn::Mat<T> Flat;               // flat mode only
   };
 
-  /// The forward pass over the batch's compressed producer and consumer
+  /// The forward pass over the batch's gathered producer and consumer
   /// rows. \p Params holds one pointer per tensor of parameters(), in
   /// order: the tensors' own values or a packed float copy. \p Tape,
   /// when given, records what backward() reads.
   template <typename T>
-  Logits<T> forwardLogits(const nn::SparseRows &Producer,
-                          const nn::SparseRows &Consumer,
+  Logits<T> forwardLogits(const SparseRows &Producer,
+                          const SparseRows &Consumer,
                           const std::vector<const T *> &Params,
                           TrunkTape<T> *Tape = nullptr) const;
 
@@ -81,11 +84,11 @@ public:
 
   const EnvConfig &getEnvConfig() const { return Env; }
 
-  /// Compresses one observation field across the batch into the sparse
-  /// form the LSTM gates consume.
-  static std::shared_ptr<const nn::SparseRows>
-  compressRows(const std::vector<const Observation *> &Batch,
-               const std::vector<double> Observation::*Field);
+  /// Gathers one feature row field across the batch into the rows the
+  /// LSTM gates read, copying each row's entries so the result owns
+  /// them (a recorded forward's tape points into it).
+  SparseRows gatherRows(const std::vector<const Observation *> &Batch,
+                        const SparseRow Observation::*Field) const;
 
 private:
   EnvConfig Env;
@@ -106,10 +109,10 @@ public:
   ValueNet(const EnvConfig &Env, unsigned FeatureSize, NetConfig Net,
            Rng &Rng);
 
-  /// Value estimates [B x 1] from the batch's compressed producer and
+  /// Value estimates [B x 1] from the batch's gathered producer and
   /// consumer rows. \p Tape, when given, records what backward() reads.
-  nn::Mat<double> forwardValues(const nn::SparseRows &Producer,
-                                const nn::SparseRows &Consumer,
+  nn::Mat<double> forwardValues(const SparseRows &Producer,
+                                const SparseRows &Consumer,
                                 TrunkTape<double> *Tape = nullptr) const;
 
   /// Accumulates into the parameters' gradients the backward of a

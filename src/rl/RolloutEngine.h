@@ -63,7 +63,8 @@ public:
   struct Options {
     /// Store a RolloutStep per step (PPO collection needs them; greedy
     /// serving does not, and skipping them skips the observation
-    /// copies).
+    /// copies). A stored observation holds its masks and its feature
+    /// rows' nonzero entries, never a dense feature row.
     bool RecordSteps = false;
     /// Copy the final schedule out of each environment.
     bool RecordSchedule = false;

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -79,8 +80,8 @@ static uint64_t loadU64(const uint8_t *P) {
 // ArchiveWriter
 //===----------------------------------------------------------------------===//
 
-ArchiveWriter::ArchiveWriter(uint32_t Version) {
-  Bytes.insert(Bytes.end(), kFormatMagic, kFormatMagic + sizeof(kFormatMagic));
+ArchiveWriter::ArchiveWriter(uint32_t Version)
+    : Bytes(std::begin(kFormatMagic), std::end(kFormatMagic)) {
   appendU32(Bytes, Version);
 }
 

@@ -6,7 +6,9 @@
 /// DeterminismMatrixTest, CheckpointResumeTest): bit-pattern equality
 /// of doubles, ULP distances for tensor comparisons, golden-bytes
 /// comparison for archives, and bitwise equality of whole training
-/// histories.
+/// histories. Also the feature-row helpers: tests build dense rows, and
+/// sparse rows from dense vectors, only through denseRow and
+/// sparseRowsOf.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,12 +17,14 @@
 
 #include "nn/Tensor.h"
 #include "rl/Ppo.h"
+#include "support/SparseRows.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 /// Two doubles carry the identical bit pattern (distinguishes -0.0
@@ -95,6 +99,54 @@ inline void expectSameParameters(const std::vector<nn::Tensor> &A,
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I < A.size(); ++I)
     expectTensorsBitwiseEqual(A[I], B[I]);
+}
+
+/// The dense form of a feature row: \p Width values, zero except at the
+/// row's entries.
+inline std::vector<double> denseRow(const SparseRow &Row, unsigned Width) {
+  std::vector<double> Dense(Width, 0.0);
+  for (const SparseEntry &E : Row)
+    Dense.at(E.Col) = E.Value;
+  return Dense;
+}
+
+/// Sparse rows from dense test vectors of one width: each vector's
+/// nonzero values, ascending by column.
+inline SparseRows sparseRowsOf(const std::vector<std::vector<double>> &Dense) {
+  SparseRows X;
+  X.Rows = static_cast<unsigned>(Dense.size());
+  X.Cols = Dense.empty() ? 0 : static_cast<unsigned>(Dense[0].size());
+  for (const std::vector<double> &Row : Dense) {
+    EXPECT_EQ(Row.size(), X.Cols) << "ragged dense rows";
+    SparseRow &Entries = X.RowEntries.emplace_back();
+    for (unsigned J = 0; J < Row.size(); ++J)
+      if (Row[J] != 0.0)
+        Entries.push_back({J, Row[J]});
+  }
+  return X;
+}
+
+/// A feature row's invariants: columns strictly ascending and below
+/// \p Width, and no +0.0 or -0.0 value.
+inline void expectWellFormedRow(const SparseRow &Row, unsigned Width,
+                                const std::string &What) {
+  for (size_t I = 0; I < Row.size(); ++I) {
+    EXPECT_LT(Row[I].Col, Width) << What << " entry " << I;
+    EXPECT_NE(Row[I].Value, 0.0) << What << " entry " << I;
+    if (I > 0) {
+      EXPECT_LT(Row[I - 1].Col, Row[I].Col) << What << " entry " << I;
+    }
+  }
+}
+
+/// Two feature rows hold the same entries: columns and value bits.
+inline void expectSameRow(const SparseRow &A, const SparseRow &B,
+                          const std::string &What) {
+  ASSERT_EQ(A.size(), B.size()) << What;
+  for (size_t I = 0; I < A.size(); ++I) {
+    EXPECT_EQ(A[I].Col, B[I].Col) << What << " entry " << I;
+    EXPECT_SAME_BITS(A[I].Value, B[I].Value) << What << " entry " << I;
+  }
 }
 
 /// The narrow network every determinism test trains (the architecture

@@ -2,7 +2,14 @@
 
 #include "env/Featurizer.h"
 
+#include "TestUtil.h"
+#include "baselines/RandomSearch.h"
+#include "datasets/Lqcd.h"
+#include "datasets/Sequences.h"
+#include "env/Environment.h"
 #include "ir/Builder.h"
+#include "perf/Evaluator.h"
+#include "support/Hash.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -10,8 +17,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 
 using namespace mlirrl;
+using testutil::denseRow;
 
 namespace {
 
@@ -26,6 +35,12 @@ struct FeaturizerFixture : ::testing::Test {
     std::string Bv = B.declareInput({32, 16});
     B.matmul(A, Bv);
     return M.getNumOps() - 1;
+  }
+
+  /// Op \p Op's row under \p History, expanded to featureSize() values.
+  std::vector<double> featurizeDense(unsigned Op,
+                                     const ActionHistory &History = {}) {
+    return denseRow(Feat.featurize(M.getOp(Op), History), Feat.featureSize());
   }
 };
 
@@ -93,12 +108,21 @@ TEST_F(FeaturizerFixture, SizeIsStableAndMatchesLayout) {
                       Config.MaxScheduleLength * N * N;
   EXPECT_EQ(Feat.featureSize(), Expected);
   unsigned Op = makeMatmul();
-  EXPECT_EQ(Feat.featurize(M, M.getOp(Op), ActionHistory()).size(), Expected);
+  std::vector<int> Identity(N);
+  std::iota(Identity.begin(), Identity.end(), 0);
+  ActionHistory H;
+  for (unsigned T = 0; T < Config.MaxScheduleLength; ++T)
+    H.recordInterchange(T, Identity);
+  SparseRow F = Feat.featurize(M.getOp(Op), H);
+  testutil::expectWellFormedRow(F, Expected, "matmul");
+  // The last interchange slab's last loop is the layout's last column.
+  ASSERT_FALSE(F.empty());
+  EXPECT_EQ(F.back().Col, Expected - 1);
 }
 
 TEST_F(FeaturizerFixture, OpTypeOneHot) {
   unsigned Op = makeMatmul();
-  std::vector<double> F = Feat.featurize(M, M.getOp(Op), ActionHistory());
+  std::vector<double> F = featurizeDense(Op);
   // Categories: generic, matmul, conv, pooling, add, unknown.
   EXPECT_DOUBLE_EQ(F[0], 0.0);
   EXPECT_DOUBLE_EQ(F[1], 1.0);
@@ -109,7 +133,7 @@ TEST_F(FeaturizerFixture, OpTypeOneHot) {
 
 TEST_F(FeaturizerFixture, LoopRangesEncodeBoundsAndKinds) {
   unsigned Op = makeMatmul();
-  std::vector<double> F = Feat.featurize(M, M.getOp(Op), ActionHistory());
+  std::vector<double> F = featurizeDense(Op);
   // Loops start at offset 6; matmul bounds (64, 16, 32).
   EXPECT_NEAR(F[6 + 0], std::log2(64.0) / 16.0, 1e-12);
   EXPECT_DOUBLE_EQ(F[6 + 1], 1.0); // parallel
@@ -131,16 +155,15 @@ TEST_F(FeaturizerFixture, VectorizationFlagDiffersByOp) {
   unsigned PoolOp = M.getNumOps() - 1;
 
   unsigned FlagOffset = 6 + Config.MaxLoops * 3;
-  std::vector<double> Fm =
-      Feat.featurize(M, M.getOp(MatmulOp), ActionHistory());
-  std::vector<double> Fp = Feat.featurize(M, M.getOp(PoolOp), ActionHistory());
+  std::vector<double> Fm = featurizeDense(MatmulOp);
+  std::vector<double> Fp = featurizeDense(PoolOp);
   EXPECT_DOUBLE_EQ(Fm[FlagOffset], 1.0);
   EXPECT_DOUBLE_EQ(Fp[FlagOffset], 0.0);
 }
 
 TEST_F(FeaturizerFixture, AccessMatrixCoefficients) {
   unsigned Op = makeMatmul();
-  std::vector<double> F = Feat.featurize(M, M.getOp(Op), ActionHistory());
+  std::vector<double> F = featurizeDense(Op);
   unsigned N = Config.MaxLoops;
   unsigned MapsOffset = 6 + N * 3 + 1;
   // First input map of matmul: (d0, d1, d2) -> (d0, d2).
@@ -156,7 +179,7 @@ TEST_F(FeaturizerFixture, HistoryTiledSlabOneHot) {
   unsigned Op = makeMatmul();
   ActionHistory H;
   H.recordTiled(0, TransformKind::Tiling, {3, 0, 5});
-  std::vector<double> F = Feat.featurize(M, M.getOp(Op), H);
+  std::vector<double> F = featurizeDense(Op, H);
 
   unsigned N = Config.MaxLoops;
   unsigned HistOffset = 6 + N * 3 + 1 +
@@ -178,7 +201,7 @@ TEST_F(FeaturizerFixture, HistoryInterchangeSlabPartial) {
   ActionHistory H;
   // Partial placement: position 0 <- loop 2 chosen, rest pending.
   H.recordInterchange(1, {2, -1, -1});
-  std::vector<double> F = Feat.featurize(M, M.getOp(Op), H);
+  std::vector<double> F = featurizeDense(Op, H);
 
   unsigned N = Config.MaxLoops;
   unsigned Base = 6 + N * 3 + 1 + Config.MaxArrays * Config.MaxRank * (N + 1) +
@@ -191,36 +214,68 @@ TEST_F(FeaturizerFixture, HistoryInterchangeSlabPartial) {
     EXPECT_DOUBLE_EQ(F[Base + 1 * N * N + 1 * N + L], 0.0);
 }
 
-TEST_F(FeaturizerFixture, ZeroVectorForMissingProducer) {
-  std::vector<double> Z = Feat.zeroVector();
-  EXPECT_EQ(Z.size(), Feat.featureSize());
-  for (double V : Z)
-    EXPECT_DOUBLE_EQ(V, 0.0);
-}
-
 TEST(FeaturizerHistory, MatchesDenseLoopBitwise) {
   for (const EnvConfig &Config : {EnvConfig::laptop(), EnvConfig()}) {
     Featurizer Feat(Config);
     Module M("m");
     Builder B(M);
     B.matmul(B.declareInput({64, 32}), B.declareInput({32, 16}));
-    const std::vector<double> Prefix = Feat.featurizeStatic(M, M.getOp(0));
+    const SparseRow Prefix = Feat.featurizeStatic(M.getOp(0));
     ASSERT_FALSE(Prefix.empty());
+    const std::vector<double> DensePrefix =
+        denseRow(Prefix, Feat.staticFeatureSize());
 
     Rng R(Config.MaxLoops);
     for (unsigned Trial = 0; Trial < 500; ++Trial) {
       ActionHistory H = Trial == 0 ? ActionHistory() : randomHistory(R, Config);
-      std::vector<double> Expected = Prefix;
+      std::vector<double> Expected = DensePrefix;
       appendHistoryDense(Config, H, Expected);
-      std::vector<double> Got = Prefix;
+      SparseRow Got = Prefix;
       Feat.appendHistory(H, Got);
-      ASSERT_EQ(Got.size(), Feat.featureSize());
-      ASSERT_EQ(Got.size(), Expected.size());
-      for (size_t I = 0; I < Got.size(); ++I)
-        ASSERT_EQ(std::bit_cast<uint64_t>(Got[I]),
+      testutil::expectWellFormedRow(Got, Feat.featureSize(), "history row");
+      std::vector<double> Dense = denseRow(Got, Feat.featureSize());
+      ASSERT_EQ(Dense.size(), Expected.size());
+      for (size_t I = 0; I < Dense.size(); ++I)
+        ASSERT_EQ(std::bit_cast<uint64_t>(Dense[I]),
                   std::bit_cast<uint64_t>(Expected[I]))
             << "MaxLoops " << Config.MaxLoops << ", trial " << Trial
             << ": first difference at element " << I;
     }
   }
+}
+
+TEST(FeaturizerCorpus, ObservationRowsArePinned) {
+  // The dense expansion of every producer and consumer row over seeded
+  // random episodes, both presets, incremental and from-scratch, folded
+  // bit for bit into one hash. The value was captured from dense rows
+  // before features were stored sparse; any change to a feature value,
+  // its column or the row width moves it.
+  FnvHasher Hash;
+  unsigned Steps = 0;
+  for (const EnvConfig &Preset : {EnvConfig::laptop(), EnvConfig()})
+    for (bool Incremental : {true, false}) {
+      EnvConfig Config = Preset;
+      Config.Incremental = Incremental;
+      const unsigned Width = Featurizer(Config).featureSize();
+      CostModelEvaluator Eval(MachineModel::xeonE5_2680v4());
+      Rng Corpus(23);
+      std::vector<Module> Modules = generateSequenceDataset(Corpus, 24);
+      for (Module &M : generateLqcdDataset(Corpus, 8))
+        Modules.push_back(std::move(M));
+      uint64_t Seed = 0x5eed;
+      for (const Module &M : Modules) {
+        Environment Env(Config, Eval, M);
+        Rng Actions(Seed++);
+        while (!Env.isDone()) {
+          const Observation &Obs = Env.observe();
+          for (const SparseRow *Row : {&Obs.Producer, &Obs.Consumer})
+            for (double V : denseRow(*Row, Width))
+              Hash.word(std::bit_cast<uint64_t>(V));
+          Env.step(randomAction(Obs, Config, Actions));
+          ++Steps;
+        }
+      }
+    }
+  EXPECT_EQ(Steps, 1576u);
+  EXPECT_EQ(Hash.finish(), 0x020c7ba204ed91adull);
 }

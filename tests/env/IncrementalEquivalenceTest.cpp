@@ -8,8 +8,11 @@
 // masked action sequences; at every step the observations (consumer,
 // producer, all masks), rewards, done flags and measurement accounting
 // must match exactly, and at the end the schedules and speedups must
-// too. Both reward modes are swept -- Immediate is the mode whose every
-// step prices the module, so it is where stale caches would surface.
+// too. Every observation's feature rows must also be well formed:
+// strictly ascending columns below the feature width, no zero value,
+// and an empty producer row exactly when fusion is masked off. Both
+// reward modes are swept -- Immediate is the mode whose every step
+// prices the module, so it is where stale caches would surface.
 // The baselines are checked on their own as well: the incremental
 // environment prices its fresh state, the from-scratch one calls
 // timeBaseline, and the two must agree bitwise even through a noisy
@@ -17,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "datasets/Dataset.h"
 #include "datasets/Models.h"
 #include "env/Environment.h"
@@ -100,10 +104,30 @@ void expectSameVector(const std::vector<double> &A,
     ASSERT_EQ(A[I], B[I]) << What << "[" << I << "] at step " << Step;
 }
 
+/// The feature rows' invariants on one observation: every row well
+/// formed within the feature width, and an empty producer row exactly
+/// when the mask forbids fusion. That holds outside a pointer sequence,
+/// whose mask allows only interchange, and before the episode ends,
+/// when the observation empties.
+void expectWellFormedRows(const Observation &Obs, unsigned Width,
+                          unsigned Step) {
+  const std::string At = " at step " + std::to_string(Step);
+  testutil::expectWellFormedRow(Obs.Consumer, Width, "Consumer" + At);
+  testutil::expectWellFormedRow(Obs.Producer, Width, "Producer" + At);
+  if (!Obs.InPointerSequence && !Obs.TransformMask.empty()) {
+    EXPECT_EQ(Obs.Producer.empty(),
+              Obs.TransformMask[static_cast<unsigned>(
+                  TransformKind::TiledFusion)] == 0.0)
+        << "Producer" << At;
+  }
+}
+
 void expectSameObservation(const Observation &A, const Observation &B,
-                           unsigned Step) {
-  expectSameVector(A.Consumer, B.Consumer, "Consumer", Step);
-  expectSameVector(A.Producer, B.Producer, "Producer", Step);
+                           unsigned Width, unsigned Step) {
+  expectWellFormedRows(A, Width, Step);
+  const std::string At = " at step " + std::to_string(Step);
+  testutil::expectSameRow(A.Consumer, B.Consumer, "Consumer" + At);
+  testutil::expectSameRow(A.Producer, B.Producer, "Producer" + At);
   expectSameVector(A.TransformMask, B.TransformMask, "TransformMask", Step);
   expectSameVector(A.InterchangeMask, B.InterchangeMask, "InterchangeMask",
                    Step);
@@ -134,6 +158,7 @@ void runLockstepSweep(const Corpus &Param, Evaluator &Eval,
   ASSERT_FALSE(Corpus.empty());
   auto [Incremental, FromScratch] = configPair(Param);
 
+  const unsigned Width = Featurizer(Incremental).featureSize();
   uint64_t Seed = 0x1234;
   for (const Module &M : Corpus) {
     Environment Inc(Incremental, Eval, M);
@@ -142,7 +167,7 @@ void runLockstepSweep(const Corpus &Param, Evaluator &Eval,
     ++Seed;
 
     unsigned Step = 0;
-    expectSameObservation(Inc.observe(), Ref.observe(), Step);
+    expectSameObservation(Inc.observe(), Ref.observe(), Width, Step);
     while (!Inc.isDone()) {
       ASSERT_FALSE(Ref.isDone()) << M.getName();
       AgentAction A =
@@ -155,7 +180,7 @@ void runLockstepSweep(const Corpus &Param, Evaluator &Eval,
       ASSERT_EQ(OutA.Reward, OutB.Reward)
           << M.getName() << " reward at step " << Step;
       ASSERT_EQ(OutA.Done, OutB.Done) << M.getName() << " step " << Step;
-      expectSameObservation(Inc.observe(), Ref.observe(), Step);
+      expectSameObservation(Inc.observe(), Ref.observe(), Width, Step);
       ASSERT_LT(Step, 10000u) << "runaway episode";
     }
     ASSERT_TRUE(Ref.isDone());

@@ -81,13 +81,11 @@ struct Forward {
 
 Forward forwardOn(const PolicyNet &Policy, const ValueNet &Value,
                   const std::vector<const Observation *> &Batch) {
-  std::shared_ptr<const SparseRows> Producer =
-      PolicyNet::compressRows(Batch, &Observation::Producer);
-  std::shared_ptr<const SparseRows> Consumer =
-      PolicyNet::compressRows(Batch, &Observation::Consumer);
-  return {Policy.forwardLogits(*Producer, *Consumer,
+  const SparseRows Producer = Policy.gatherRows(Batch, &Observation::Producer);
+  const SparseRows Consumer = Policy.gatherRows(Batch, &Observation::Consumer);
+  return {Policy.forwardLogits(Producer, Consumer,
                                valuesOf(Policy.parameters())),
-          Value.forwardValues(*Producer, *Consumer)};
+          Value.forwardValues(Producer, Consumer)};
 }
 
 void expectRowMatchesSingle(const Mat<double> &Batched,
@@ -120,9 +118,10 @@ denseReference(const std::vector<Tensor> &Params, const Observation &Obs,
   };
   auto Sigmoid = [](double X) { return 1.0 / (1.0 + std::exp(-X)); };
   const unsigned Hidden = Params[0].cols();
+  const unsigned Width = Params[0].rows() - Hidden;
   std::vector<double> H(Hidden, 0.0), C(Hidden, 0.0);
-  for (const std::vector<double> *X : {&Obs.Producer, &Obs.Consumer}) {
-    std::vector<double> XH = *X;
+  for (const SparseRow *X : {&Obs.Producer, &Obs.Consumer}) {
+    std::vector<double> XH = testutil::denseRow(*X, Width);
     XH.insert(XH.end(), H.begin(), H.end());
     Next = 0;
     std::vector<double> I = Linear(XH), F = Linear(XH), G = Linear(XH),

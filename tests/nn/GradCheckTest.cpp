@@ -14,6 +14,7 @@
 #include "rl/Agent.h"
 #include "rl/Ppo.h"
 
+#include "TestUtil.h"
 #include "datasets/DnnOps.h"
 #include "env/Featurizer.h"
 #include "perf/Runner.h"
@@ -197,12 +198,10 @@ TEST(GradCheckTest, LstmTwoStepSparse) {
   // exercises the hidden-state product and the recurrent gradients.
   Rng Init(9);
   LstmCell Cell(5, 4, Init);
-  std::vector<double> A1 = {0.7, 0.0, -0.4, 0.0, 0.9};
-  std::vector<double> B1 = {0.0, 0.2, 0.0, 0.0, -0.6};
-  std::vector<double> A2 = {0.0, -0.8, 0.5, 0.3, 0.0};
-  std::vector<double> B2 = {0.4, 0.0, 0.0, -0.9, 0.1};
-  SparseRows X1 = SparseRows::fromRows({&A1, &B1});
-  SparseRows X2 = SparseRows::fromRows({&A2, &B2});
+  SparseRows X1 = testutil::sparseRowsOf({{0.7, 0.0, -0.4, 0.0, 0.9},
+                                          {0.0, 0.2, 0.0, 0.0, -0.6}});
+  SparseRows X2 = testutil::sparseRowsOf({{0.0, -0.8, 0.5, 0.3, 0.0},
+                                          {0.4, 0.0, 0.0, -0.9, 0.1}});
   std::vector<double> C = randomValues(2 * 4);
   auto Gates = Cell.gates();
   LstmWeights<double> Weights{weightsOf(*Gates[0]), weightsOf(*Gates[1]),

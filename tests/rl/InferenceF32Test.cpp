@@ -73,14 +73,12 @@ TEST_F(InferenceF32Fixture, PackedLogitsMatchDoubleForwardWithinRelError) {
   Observation Obs = Env.observe();
   std::vector<const Observation *> Batch = {&Obs};
 
-  std::shared_ptr<const nn::SparseRows> Producer =
-      PolicyNet::compressRows(Batch, &Observation::Producer);
-  std::shared_ptr<const nn::SparseRows> Consumer =
-      PolicyNet::compressRows(Batch, &Observation::Consumer);
+  const SparseRows Producer = Policy.gatherRows(Batch, &Observation::Producer);
+  const SparseRows Consumer = Policy.gatherRows(Batch, &Observation::Consumer);
   PolicyNet::Logits<double> H64 = Policy.forwardLogits(
-      *Producer, *Consumer, nn::valuesOf(Policy.parameters()));
+      Producer, Consumer, nn::valuesOf(Policy.parameters()));
   PolicyNet::Logits<float> H32 =
-      Policy.forwardLogits(*Producer, *Consumer, Packed.values());
+      Policy.forwardLogits(Producer, Consumer, Packed.values());
 
   auto ExpectNear = [](const nn::Mat<float> &F32, const nn::Mat<double> &F64) {
     ASSERT_EQ(F32.Rows, 1u);

@@ -173,10 +173,12 @@ TEST_F(EquivalenceFixture, SamplingGroupMatchesLegacyCollectLoopBitwise) {
             << "episode " << I << " step " << S;
         EXPECT_EQ(L.EpisodeEnd, C.EpisodeEnd)
             << "episode " << I << " step " << S;
-        EXPECT_EQ(L.Obs.Consumer, C.Obs.Consumer)
-            << "episode " << I << " step " << S;
-        EXPECT_EQ(L.Obs.Producer, C.Obs.Producer)
-            << "episode " << I << " step " << S;
+        const std::string At =
+            " of episode " + std::to_string(I) + " step " + std::to_string(S);
+        testutil::expectSameRow(L.Obs.Consumer, C.Obs.Consumer,
+                                "Consumer" + At);
+        testutil::expectSameRow(L.Obs.Producer, C.Obs.Producer,
+                                "Producer" + At);
       }
     }
   }
