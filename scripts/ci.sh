@@ -192,10 +192,14 @@ done
 # fuzz campaign, halt-on-error. Kept out of the default gate because the
 # instrumented build roughly doubles CI time. GemmTest in the suite runs
 # the SIMD micro-kernels and the packed cross-checks here, which makes
-# ASan the pack-arena leak and panel-overrun gate.
+# ASan the pack-arena leak and panel-overrun gate. It is also the one
+# gate that runs the library's asserts (layout drift, shapes, one RNG
+# stream per observation, fused-away materialization): its flags are
+# RelWithDebInfo's without -DNDEBUG, which every other tree defines.
 if [[ "$sanitize" == address ]]; then
   cmake -B build-san -S . -DMLIRRL_SANITIZE="address;undefined" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
   cmake --build build-san -j "$(nproc)"
   (cd build-san &&
      ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
@@ -221,20 +225,21 @@ fi
 # determinism matrix (thread-count sweeps), GemmTest (row-partitioned
 # GEMMs over pools of 2 and 4, with thread_local pack arenas feeding the
 # shared "gemm.pack_arena" counters), OptimizerTest (Adam, zeroGrad and
-# the clip scale over row chunks on pools of 2 and 4), and the
-# dedicated TSan stress test. halt_on_error=1 turns the first report
-# into a failure; there is no suppression file -- the repo's benign
-# sharing is already expressed as relaxed atomics, so every report is
-# treated as a real bug. TSan costs roughly an order of magnitude at
-# runtime, which is why this is a subset (the tests themselves also
-# shrink iteration counts via support/TsanAnnotations.h) and why the
-# whole pass runs under one ctest timeout per test instead of an
-# open-ended suite.
+# the clip scale over row chunks on pools of 2 and 4), AgentTest (the
+# actor's and the critic's forward and backward as two tasks on pools
+# of 2 and 4), and the dedicated TSan stress test. halt_on_error=1
+# turns the first report into a failure; there is no suppression file
+# -- the repo's benign sharing is already expressed as relaxed atomics,
+# so every report is treated as a real bug. TSan costs roughly an order
+# of magnitude at runtime, which is why this is a subset (the tests
+# themselves also shrink iteration counts via support/TsanAnnotations.h)
+# and why the whole pass runs under one ctest timeout per test instead
+# of an open-ended suite.
 if [[ "$sanitize" == thread ]]; then
   cmake -B build-tsan -S . -DMLIRRL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$(nproc)"
-  tsan_subset='support/TsanStressTest|support/StatsTest|perf/StripedLruTest|serve/ServeTest|serve/ServeReloadTest|serve/ServeRaceTest|rl/DeterminismMatrixTest|rl/ParallelDeterminismTest|nn/GemmTest|nn/OptimizerTest'
+  tsan_subset='support/TsanStressTest|support/StatsTest|perf/StripedLruTest|serve/ServeTest|serve/ServeReloadTest|serve/ServeRaceTest|rl/DeterminismMatrixTest|rl/ParallelDeterminismTest|nn/GemmTest|nn/OptimizerTest|rl/AgentTest'
   (cd build-tsan &&
      TSAN_OPTIONS=halt_on_error=1 \
      ctest --output-on-failure --timeout 900 -j "$(nproc)" \

@@ -69,6 +69,33 @@ uint64_t orBits(const double *X, size_t N) {
 
 bool isPositiveZero(double X) { return std::bit_cast<uint64_t>(X) == 0; }
 
+/// Whether every entry of X[0, N) is +0.0 or -0.0.
+bool allSignedZero(const double *X, size_t N) { return orBits(X, N) << 1 == 0; }
+
+/// SumSq plus the squares of X[0, N), added in order: the norm's one
+/// summation loop. It is kept out of line so every call runs the same
+/// code, whose SIMD body adds rounded squares and whose sub-4 tail adds
+/// fused multiply-adds (see Optimizer.h).
+[[gnu::noinline]] double addSquares(double SumSq, const double *X, size_t N) {
+  for (size_t J = 0; J < N; ++J)
+    SumSq += X[J] * X[J];
+  return SumSq;
+}
+
+/// The squared norm's share of one tensor. A tensor whose row length is
+/// a multiple of 8 is summed row by row, skipping rows that are all
+/// ±0.0; any other tensor is summed whole.
+double addTensorSquares(double SumSq, const Tensor &P) {
+  const double *G = P.grad().data();
+  const size_t N = P.grad().size(), Cols = P.cols();
+  if (Cols % 8 != 0)
+    return addSquares(SumSq, G, N);
+  for (size_t R = 0; R < N; R += Cols)
+    if (!allSignedZero(G + R, Cols))
+      SumSq = addSquares(SumSq, G + R, Cols);
+  return SumSq;
+}
+
 /// One Adam step's coefficients.
 struct AdamStep {
   double LearningRate, Beta1, Beta2, Epsilon, Bias1, Bias2;
@@ -125,22 +152,34 @@ inline void adamRange(double *__restrict D, double *__restrict M,
 void nn::zeroGradients(const std::vector<Tensor> &Params) {
   forEachChunk(rowChunks(Params), [](const RowChunk &C) {
     double *G = C.Node->Grad.data();
-    std::fill(G + C.Begin, G + C.End, 0.0);
+    const size_t Cols = C.Node->Cols;
+    for (size_t R = C.Begin; R < C.End; R += Cols)
+      if (orBits(G + R, Cols) != 0)
+        std::fill(G + R, G + R + Cols, 0.0);
   });
 }
 
 double nn::clipGradNorm(const std::vector<Tensor> &Params, double MaxNorm) {
   double SumSq = 0.0;
   for (const Tensor &P : Params)
-    for (double G : P.grad())
-      SumSq += G * G;
+    SumSq = addTensorSquares(SumSq, P);
   double Norm = std::sqrt(SumSq);
   if (Norm > MaxNorm && Norm > 0.0) {
     double Scale = MaxNorm / Norm;
+    // Skipping all-zero rows is exact iff scaling maps +0.0 and -0.0 to
+    // themselves; a negative bound flips their signs.
+    const bool SkipZeroRows =
+        isPositiveZero(0.0 * Scale) &&
+        std::bit_cast<uint64_t>(-0.0 * Scale) == std::bit_cast<uint64_t>(-0.0);
     forEachChunk(rowChunks(Params), [&](const RowChunk &C) {
       double *G = C.Node->Grad.data();
-      for (size_t J = C.Begin; J < C.End; ++J)
-        G[J] *= Scale;
+      const size_t Cols = C.Node->Cols;
+      for (size_t R = C.Begin; R < C.End; R += Cols) {
+        if (SkipZeroRows && allSignedZero(G + R, Cols))
+          continue;
+        for (size_t J = R; J < R + Cols; ++J)
+          G[J] *= Scale;
+      }
     });
   }
   return Norm;

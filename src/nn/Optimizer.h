@@ -7,8 +7,9 @@
 /// Adam::step, zeroGradients and clipGradNorm's scale pass each make one
 /// pass over fixed chunks of whole rows (at most 8192 elements) of every
 /// parameter, spread over the pool installed with setGemmPool
-/// (nn/Gemm.h) when there is one. Their results are bitwise those of a
-/// serial element-by-element sweep:
+/// (nn/Gemm.h) when there is one. Each pass, and the norm, skips rows
+/// that are already zero. Their results are bitwise those of a serial
+/// element-by-element sweep:
 ///
 /// - **Skipping a row is exact.** Adam::step skips a row whose gradient
 ///   and two moments are all +0.0: its moments stay +0.0
@@ -17,7 +18,10 @@
 ///   value, -0.0 included, unchanged. The test reads bit patterns, so a
 ///   -0.0 entry makes the row nonzero. Adam::step checks the identity
 ///   once per call on a zeroed element and sweeps every row when a
-///   hyperparameter breaks it (eps = 0 makes 0/0).
+///   hyperparameter breaks it (eps = 0 makes 0/0). zeroGradients fills
+///   only rows with a nonzero bit. The clip's scale pass skips rows of
+///   +0.0 and -0.0 when the scale maps both to themselves, and scales
+///   every row when it does not (a negative bound flips their signs).
 /// - **Chunks fix the result for any thread count.** The chunking
 ///   depends only on the parameter shapes, chunks are disjoint (so a
 ///   parameter list must not name a tensor twice), and an element's
@@ -26,13 +30,30 @@
 ///   scalar element expression lane for lane (same operands, same
 ///   rounding and fused multiply-add points); the scalar loop runs the
 ///   sub-vector tails and targets without a vector square root.
-/// - **The norm stays one serial sum.** The compiler emits it as
-///   in-order adds of rounded squares over each tensor's 4-wide body
-///   and fused multiply-adds over the tail. Any reordering or split of
-///   the sum, or a skip of zero rows that moves elements between body
-///   and tail, changes its rounding, and with it the clip scale and
-///   every later step. So it runs on the calling thread, in parameter
-///   order, as it always has.
+/// - **The norm is one serial sum that skips ±0.0 rows.** It runs on
+///   the calling thread, in parameter order, through one out-of-line
+///   loop, `SumSq += G * G`. A tensor whose row length is not a
+///   multiple of 8 goes through that loop whole. Any other tensor goes
+///   through it row by row, and a row whose entries are all ±0.0 is
+///   skipped. Skipping it is exact: its squares are +0.0, and adding
+///   +0.0 to a sum of squares, which starts at +0.0, changes nothing.
+///   Splitting a tensor into rows is exact too, because every element
+///   is still added the way the whole-tensor loop adds it:
+///   - At -O3 with -march=native on an AVX-512 host, GCC 12 vectorizes
+///     the loop into an 8-wide body and a 4-wide epilogue that add
+///     rounded squares in order, then adds the last N mod 4 elements by
+///     fused multiply-add. In a tensor whose rows are a multiple of 8
+///     long, neither the tensor nor a row has such a tail, so every
+///     element is added as a rounded square either way.
+///   - At -O2 GCC 12 emits one chain of fused multiply-adds, which
+///     splits anywhere.
+///
+///   Another compiler or flag set may emit the loop differently.
+///   OptimizerTest compares the norm with the whole-tensor loop on rows
+///   where a fused and a rounded square round the sum differently, so
+///   a split that changes how an element is added fails it. A reordered
+///   or parallel sum would change the norm's rounding, and with it the
+///   clip scale and every later step.
 ///
 //===----------------------------------------------------------------------===//
 

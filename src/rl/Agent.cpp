@@ -3,7 +3,9 @@
 #include "rl/Agent.h"
 
 #include "nn/Backward.h"
+#include "nn/Gemm.h"
 #include "support/Error.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -114,14 +116,31 @@ struct HeadTerm {
 
 /// What a minibatch evaluation's backward reads: the gathered feature
 /// rows both tapes point into, both networks' tapes, the head
-/// terms and the heads' logits gradients. The evaluation's graph nodes
-/// own it, so it lives exactly as long as the minibatch's graph.
+/// terms, the heads' logits gradients and the values' gradients, and
+/// which networks the loss reached. The evaluation's graph nodes own
+/// it, so it lives exactly as long as the minibatch's graph.
 struct EvaluationTape {
   SparseRows Producer, Consumer;
   TrunkTape<double> Policy, Value;
   std::vector<HeadTerm> Terms;
   PolicyNet::Logits<double> DLogits;
+  std::vector<double> DValues;
+  bool PolicyReached = false, ValueReached = false;
 };
+
+/// Runs \p First and \p Second as two tasks on the installed update
+/// pool, or one after the other without one. They must share no
+/// mutable state; a GEMM inside either splits over the same pool, whose
+/// nested parallelFor the calling thread drains.
+template <typename FirstFn, typename SecondFn>
+void sideBySide(const FirstFn &First, const SecondFn &Second) {
+  if (ThreadPool *Pool = getGemmPool()) {
+    Pool->parallelFor(2, [&](size_t Task) { Task == 0 ? First() : Second(); });
+    return;
+  }
+  First();
+  Second();
+}
 
 /// The terms of a minibatch's log-probabilities, in summation order:
 /// the flat head alone, or the kind head, then every (tile head, level)
@@ -292,12 +311,18 @@ ActorCritic::evaluateBatch(const std::vector<const Observation *> &Obs,
   auto Tape = std::make_shared<EvaluationTape>();
   Tape->Producer = Policy.gatherRows(Obs, &Observation::Producer);
   Tape->Consumer = Policy.gatherRows(Obs, &Observation::Consumer);
-  std::vector<Tensor> PolicyParams = Policy.parameters();
-  PolicyNet::Logits<double> Logits =
-      Policy.forwardLogits(Tape->Producer, Tape->Consumer,
-                           valuesOf(PolicyParams), &Tape->Policy);
-  Mat<double> Values =
-      Value.forwardValues(Tape->Producer, Tape->Consumer, &Tape->Value);
+  PolicyNet::Logits<double> Logits;
+  Mat<double> Values;
+  sideBySide(
+      [&] {
+        Logits = Policy.forwardLogits(Tape->Producer, Tape->Consumer,
+                                      valuesOf(Policy.parameters()),
+                                      &Tape->Policy);
+      },
+      [&] {
+        Values =
+            Value.forwardValues(Tape->Producer, Tape->Consumer, &Tape->Value);
+      });
 
   // Every term's log-softmax; a row's log-probability and entropy sum
   // its terms in order (inactive rows add exact zeros).
@@ -325,31 +350,47 @@ ActorCritic::evaluateBatch(const std::vector<const Observation *> &Obs,
     }
   }
 
-  // Four graph nodes, whatever the heads: the policy, whose backward
-  // runs the network's; its two per-row outputs, whose backwards run
-  // the heads' into the tape; and the value.
-  Tensor PolicyNode = makeNode(1, 1, PolicyParams, "policy");
-  PolicyNode.node()->Backward = [this, Tape](TensorNode &) {
-    for (const HeadTerm &T : Tape->Terms) {
-      Mat<double> &Head = T.headOf(Tape->DLogits);
-      for (unsigned R = 0; R < Head.Rows; ++R)
-        for (unsigned J = 0; J < T.Cols; ++J)
-          Head.row(R)[T.Col0 + J] += T.DLogits.row(R)[J];
-    }
-    Policy.backward(Tape->Policy, Tape->DLogits);
+  // Four graph nodes, whatever the heads: the trunk over every
+  // parameter, and its three per-row outputs. A row node's backward
+  // fills its network's output gradients on the tape and marks the
+  // network reached; the trunk's then runs the backward of each reached
+  // network, both side by side when the loss reached both.
+  Tensor Trunk = makeNode(1, 1, parameters(), "trunk");
+  Trunk.node()->Backward = [this, Tape](TensorNode &) {
+    auto PolicyBackward = [&] {
+      for (const HeadTerm &T : Tape->Terms) {
+        Mat<double> &Head = T.headOf(Tape->DLogits);
+        for (unsigned R = 0; R < Head.Rows; ++R)
+          for (unsigned J = 0; J < T.Cols; ++J)
+            Head.row(R)[T.Col0 + J] += T.DLogits.row(R)[J];
+      }
+      Policy.backward(Tape->Policy, Tape->DLogits);
+    };
+    auto ValueBackward = [&] {
+      Value.backward(Tape->Value, Tape->DValues.data());
+    };
+    if (Tape->PolicyReached && Tape->ValueReached)
+      sideBySide(PolicyBackward, ValueBackward);
+    else if (Tape->PolicyReached)
+      PolicyBackward();
+    else if (Tape->ValueReached)
+      ValueBackward();
+    // Another backward over this graph runs only what it reaches.
+    Tape->PolicyReached = Tape->ValueReached = false;
   };
-  auto RowNode = [&](const std::vector<double> &Rows, const char *Name) {
-    Tensor Node = makeNode(B, 1, {PolicyNode}, Name);
-    std::copy(Rows.begin(), Rows.end(), Node.node()->Data.begin());
+  auto RowNode = [&](const double *Rows, const char *Name) {
+    Tensor Node = makeNode(B, 1, {Trunk}, Name);
+    std::copy_n(Rows, B, Node.node()->Data.begin());
     return Node;
   };
   BatchEvaluation Eval;
-  Eval.LogProb = RowNode(LogProb, "logProb");
+  Eval.LogProb = RowNode(LogProb.data(), "logProb");
   Eval.LogProb.node()->Backward = [Tape](TensorNode &Self) {
     for (HeadTerm &T : Tape->Terms)
       pickBackward(T.LogP, T.Masks, T.Picks, Self.Grad.data(), T.DLogits);
+    Tape->PolicyReached = true;
   };
-  Eval.Entropy = RowNode(Entropy, "entropy");
+  Eval.Entropy = RowNode(Entropy.data(), "entropy");
   Eval.Entropy.node()->Backward = [Tape](TensorNode &Self) {
     for (HeadTerm &T : Tape->Terms) {
       std::vector<double> DEntropy(Self.Grad.begin(), Self.Grad.end());
@@ -358,12 +399,12 @@ ActorCritic::evaluateBatch(const std::vector<const Observation *> &Obs,
           DEntropy[R] = 0.0;
       entropyBackward(T.LogP, T.Masks, DEntropy, T.DLogits);
     }
+    Tape->PolicyReached = true;
   };
-  Eval.Value = makeNode(B, 1, Value.parameters(), "value");
-  std::copy(Values.Data.begin(), Values.Data.end(),
-            Eval.Value.node()->Data.begin());
-  Eval.Value.node()->Backward = [this, Tape](TensorNode &Self) {
-    Value.backward(Tape->Value, Self.Grad.data());
+  Eval.Value = RowNode(Values.Data.data(), "value");
+  Eval.Value.node()->Backward = [Tape](TensorNode &Self) {
+    Tape->DValues.assign(Self.Grad.begin(), Self.Grad.end());
+    Tape->ValueReached = true;
   };
   return Eval;
 }

@@ -65,10 +65,20 @@ public:
   /// PPO update: per-row log-probs, entropies and values as [Bx1]
   /// tensors, computed with one GEMM per layer for the whole minibatch.
   /// Heads inactive for a given row contribute exact zeros (and no
-  /// gradient) to that row. The tensors hang off four graph nodes whose
-  /// backward runs the networks' explicit backward on the tape the
-  /// forward recorded; the graph owns the tape and must not outlive the
-  /// agent.
+  /// gradient) to that row.
+  ///
+  /// The actor's and the critic's forward run as two tasks on the pool
+  /// installed with nn::setGemmPool, or one after the other without
+  /// one. The networks share no parameter and no scratch, and both only
+  /// read the gathered feature rows. The three tensors hang off one
+  /// trunk node over every parameter. Their backwards write the heads'
+  /// logit gradients or the values' gradients to the tape the forward
+  /// recorded and mark their network reached. The trunk's backward then
+  /// runs the explicit backward of each reached network, as two tasks
+  /// on the pool when the loss reached both, so a loss over one
+  /// network's outputs leaves the other's gradients untouched. Results
+  /// are bitwise the same with or without a pool. The graph owns the
+  /// tape and must not outlive the agent.
   struct BatchEvaluation {
     nn::Tensor LogProb; // B x 1
     nn::Tensor Entropy; // B x 1

@@ -373,6 +373,11 @@ bool mlirrl::verifyScheduleState(ScheduleState &State,
         return "fused producer " + std::to_string(P) + " of op " +
                std::to_string(Idx) + " is not marked fused away";
       });
+  // A broken fused-away set can leave a fused-away op live, and the
+  // per-op pass would materialize its nest. Only the first failure is
+  // reported, so stopping here loses nothing.
+  if (!C.ok())
+    return false;
 
   // ---- Per-op checks and stale-cache detection ------------------------
   static const OpSchedule EmptySchedule;

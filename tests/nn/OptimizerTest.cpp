@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 using namespace mlirrl;
 using namespace mlirrl::nn;
@@ -235,36 +236,148 @@ TEST(OptimizerTest, AdamStepMatchesScalarReferenceBitwise) {
     }
 }
 
-TEST(OptimizerTest, GradClipMatchesSerialReferenceBitwise) {
-  // A negative bound flips every sign, +0.0 entries included, so a
-  // scale pass that left zero rows alone would show.
-  for (double MaxNorm : {0.25, -0.25}) {
-    for (unsigned Threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE(testing::Message() << "MaxNorm " << MaxNorm << ", "
-                                      << Threads << " threads");
-      ScopedUpdatePool Scope(Threads);
-      std::vector<Tensor> Params = makeParams(3);
-      fillGradients(Params, 0, 5);
-      double SumSq = 0.0;
-      for (const Tensor &P : Params)
-        for (double G : P.grad())
-          SumSq += G * G;
-      double ExpectedNorm = std::sqrt(SumSq);
-      double Scale = MaxNorm / ExpectedNorm;
-      std::vector<DBuffer> Expected;
-      for (const Tensor &P : Params) {
-        Expected.push_back(P.grad());
-        for (double &G : Expected.back())
-          G *= Scale;
-      }
+namespace {
 
-      double Norm = clipGradNorm(Params, MaxNorm);
-      EXPECT_EQ(std::memcmp(&Norm, &ExpectedNorm, sizeof(double)), 0);
-      for (size_t I = 0; I < Params.size(); ++I)
-        EXPECT_TRUE(sameBits(Params[I].grad(), Expected[I]))
-            << "param " << I;
-    }
+/// A gradient row of the clip cases below.
+enum class RowKind { Live, Zero, NaN, Inf, Base, Tie };
+
+/// One tensor of a clip case: its width and its rows' kinds.
+struct ClipTensor {
+  unsigned Cols;
+  std::vector<RowKind> Rows;
+};
+
+/// Parameters whose gradients follow \p Shapes: a Live row holds
+/// Gaussians with exact and negative zeros sprinkled in, a Zero row a
+/// mix of +0.0 and -0.0, and a NaN or Inf row one such entry among
+/// Gaussians. A Base row holds 8192 and zeros, and a Tie row zeros and
+/// 1 + 2^-28 in its last column: once the sum is 2^26 plus an integer,
+/// adding that square rounded lands exactly halfway between two doubles
+/// and rounds to even, while a fused multiply-add rounds it up.
+std::vector<Tensor> clipParams(const std::vector<ClipTensor> &Shapes,
+                               uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<Tensor> Params;
+  for (const ClipTensor &S : Shapes) {
+    const unsigned Rows = static_cast<unsigned>(S.Rows.size());
+    std::vector<double> Values(static_cast<size_t>(Rows) * S.Cols, 1.0);
+    Params.push_back(Tensor::parameter(Rows, S.Cols, std::move(Values)));
+    DBuffer &G = Params.back().node()->Grad;
+    for (unsigned Row = 0; Row < Rows; ++Row)
+      for (unsigned Col = 0; Col < S.Cols; ++Col) {
+        double &E = G[static_cast<size_t>(Row) * S.Cols + Col];
+        E = R.nextBernoulli(0.2)   ? 0.0
+            : R.nextBernoulli(0.1) ? -0.0
+                                   : R.nextGaussian();
+        switch (S.Rows[Row]) {
+        case RowKind::Live:
+          break;
+        case RowKind::Zero:
+          E = R.nextBernoulli(0.5) ? -0.0 : 0.0;
+          break;
+        case RowKind::NaN:
+          if (Col == S.Cols / 2)
+            E = std::nan("");
+          break;
+        case RowKind::Inf:
+          if (Col == 0)
+            E = HUGE_VAL;
+          break;
+        case RowKind::Base:
+          E = Col == 0 ? 8192.0 : 0.0;
+          break;
+        case RowKind::Tie:
+          E = Col + 1 == S.Cols ? 1.0 + std::ldexp(1.0, -28) : 0.0;
+          break;
+        }
+      }
   }
+  return Params;
+}
+
+/// Tensors whose zero rows sit where the norm's row skip could split a
+/// sum: zero rows inside 6- and 9-column tensors, which are summed
+/// whole, first and last rows, a tensor with no live row, single live
+/// rows of 8 entries between zero rows, and single-row tensors. The
+/// 6- and 9-column tensors come first, after a Base row, and hold Tie
+/// rows whose last entries a sum split at their zero rows would add by
+/// fused multiply-adds, so such a split changes the norm's bits.
+std::vector<ClipTensor> clipEdgeShapes(RowKind Special) {
+  using K = RowKind;
+  return {{8, {K::Base}},
+          {6, {K::Tie, K::Zero, K::Tie, K::Zero, K::Zero, K::Tie}},
+          {9, {K::Zero, K::Tie, K::Zero, K::Zero, K::Tie}},
+          {16, {K::Zero, K::Live, K::Live, Special, K::Live, K::Zero}},
+          {8, {K::Zero, K::Zero, K::Zero, K::Zero, K::Zero}},
+          {8, {K::Live, K::Zero, K::Live, K::Zero, K::Zero, K::Live, K::Zero,
+               K::Live}},
+          {48, {K::Live, K::Zero, K::Zero, K::Live, K::Live, K::Zero}},
+          {8, {K::Live}},
+          {8, {K::Zero}},
+          {24, {K::Live}},
+          {5, {K::Zero}},
+          {3, {K::Live}}};
+}
+
+} // namespace
+
+TEST(OptimizerTest, GradClipMatchesSerialReferenceBitwise) {
+  // The pseudo-random rows, then the row-skip edge cases: finite, with a
+  // NaN in one row and +inf in another (no clip), and with +inf alone
+  // (scale 0, which turns the +inf into NaN). A negative bound flips
+  // every sign, +0.0 entries included, so a scale pass that left zero
+  // rows alone would show; a zero bound zeroes every live entry.
+  struct ClipCase {
+    const char *Name;
+    std::function<std::vector<Tensor>()> Make;
+  };
+  const std::vector<ClipCase> Cases = {
+      {"random rows",
+       [] {
+         std::vector<Tensor> Params = makeParams(3);
+         fillGradients(Params, 0, 5);
+         return Params;
+       }},
+      {"edge rows",
+       [] { return clipParams(clipEdgeShapes(RowKind::Live), 5); }},
+      {"NaN and +inf",
+       [] {
+         std::vector<ClipTensor> Shapes = clipEdgeShapes(RowKind::NaN);
+         Shapes[6].Rows[1] = RowKind::Inf;
+         return clipParams(Shapes, 6);
+       }},
+      {"+inf", [] { return clipParams(clipEdgeShapes(RowKind::Inf), 7); }}};
+  for (const ClipCase &Case : Cases)
+    for (double MaxNorm : {0.25, -0.25, 0.0})
+      for (unsigned Threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(testing::Message() << Case.Name << ", MaxNorm "
+                                        << MaxNorm << ", " << Threads
+                                        << " threads");
+        ScopedUpdatePool Scope(Threads);
+        std::vector<Tensor> Params = Case.Make();
+        // clipGradNorm before row skipping, verbatim.
+        double SumSq = 0.0;
+        for (const Tensor &P : Params)
+          for (double G : P.grad())
+            SumSq += G * G;
+        double ExpectedNorm = std::sqrt(SumSq);
+        std::vector<DBuffer> Expected;
+        for (const Tensor &P : Params)
+          Expected.push_back(P.grad());
+        if (ExpectedNorm > MaxNorm && ExpectedNorm > 0.0) {
+          double Scale = MaxNorm / ExpectedNorm;
+          for (DBuffer &G : Expected)
+            for (double &E : G)
+              E *= Scale;
+        }
+
+        double Norm = clipGradNorm(Params, MaxNorm);
+        EXPECT_EQ(std::memcmp(&Norm, &ExpectedNorm, sizeof(double)), 0)
+            << Norm << " vs " << ExpectedNorm;
+        for (size_t I = 0; I < Params.size(); ++I)
+          EXPECT_TRUE(sameBits(Params[I].grad(), Expected[I]))
+              << "param " << I;
+      }
 }
 
 TEST(OptimizerTest, ZeroGradLeavesEveryEntryPositiveZero) {

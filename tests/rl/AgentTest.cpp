@@ -6,11 +6,16 @@
 #include "datasets/DnnOps.h"
 #include "env/Featurizer.h"
 #include "ir/Builder.h"
+#include "nn/Gemm.h"
+#include "nn/Ops.h"
 #include "perf/Runner.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 using namespace mlirrl;
 
@@ -174,4 +179,168 @@ TEST_F(AgentFixture, FlatAgentRunsEpisodes) {
     Env.step(S.Action);
   }
   SUCCEED();
+}
+
+//===----------------------------------------------------------------------===//
+// evaluateBatch's backward: both networks, any update pool.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every step of a few sampled episodes, as one minibatch, with the
+/// stored quantities PpoTrainer::update reads.
+struct Minibatch {
+  std::vector<Observation> Obs;
+  std::vector<AgentAction> Actions;
+  std::vector<double> OldLogProb, Advantage, Return;
+};
+
+Minibatch sampleMinibatch(const ActorCritic &Agent, const EnvConfig &Env,
+                          Evaluator &Eval) {
+  Minibatch MB;
+  Rng R(21), Noise(22);
+  std::vector<Module> Modules = {makeMatmulModule(64, 64, 64),
+                                 makeReluModule({256, 64}),
+                                 makeConv2dModule(1, 8, 16, 16, 8, 3, 3, 1),
+                                 makeAddModule({128, 128})};
+  for (unsigned Episode = 0; Episode < 12; ++Episode) {
+    Environment E(Env, Eval, Modules[Episode % Modules.size()]);
+    while (!E.isDone()) {
+      ActorCritic::Sampled S = Agent.act(E.observe(), R);
+      MB.Obs.push_back(E.observe());
+      MB.Actions.push_back(S.Action);
+      MB.OldLogProb.push_back(S.LogProb + Noise.nextDouble(-0.1, 0.1));
+      MB.Advantage.push_back(Noise.nextDouble(-2.0, 2.0));
+      MB.Return.push_back(S.Value + Noise.nextDouble(-1.0, 1.0));
+      E.step(S.Action);
+    }
+  }
+  return MB;
+}
+
+/// Which of the evaluation's outputs a loss reads.
+enum class LossOver { All, Value, Policy };
+
+/// PpoTrainer::update's loss over \p MB, or its value term alone, or its
+/// surrogate and entropy terms alone.
+nn::Tensor minibatchLoss(const ActorCritic &Agent, const Minibatch &MB,
+                         LossOver Over) {
+  std::vector<const Observation *> Obs;
+  std::vector<const AgentAction *> Actions;
+  for (size_t I = 0; I < MB.Obs.size(); ++I) {
+    Obs.push_back(&MB.Obs[I]);
+    Actions.push_back(&MB.Actions[I]);
+  }
+  const unsigned B = static_cast<unsigned>(Obs.size());
+  PpoConfig Config;
+  ActorCritic::BatchEvaluation Eval = Agent.evaluateBatch(Obs, Actions);
+  using namespace nn;
+  Tensor Ratio =
+      expOp(sub(Eval.LogProb, Tensor::fromData(B, 1, MB.OldLogProb)));
+  Tensor Adv = Tensor::fromData(B, 1, MB.Advantage);
+  Tensor Clipped = hadamard(
+      clamp(Ratio, 1.0 - Config.ClipRange, 1.0 + Config.ClipRange), Adv);
+  Tensor PolicyLoss = add(scale(meanAll(minOp(hadamard(Ratio, Adv), Clipped)),
+                                -1.0),
+                          scale(meanAll(Eval.Entropy), -Config.EntropyCoef));
+  Tensor Diff = sub(Eval.Value, Tensor::fromData(B, 1, MB.Return));
+  Tensor ValueLoss = scale(meanAll(hadamard(Diff, Diff)), Config.ValueCoef);
+  return Over == LossOver::Value    ? ValueLoss
+         : Over == LossOver::Policy ? PolicyLoss
+                                    : add(PolicyLoss, ValueLoss);
+}
+
+/// Seeds every gradient entry with +0.0, -0.0 or a Gaussian. A backward
+/// that runs turns some -0.0 entries into +0.0 even where it adds only
+/// zeros, so an entry left as seeded shows that none ran.
+void seedGradients(const std::vector<nn::Tensor> &Params) {
+  Rng R(23);
+  for (const nn::Tensor &P : Params)
+    for (double &G : P.node()->Grad)
+      G = R.nextBernoulli(0.4)   ? -0.0
+          : R.nextBernoulli(0.3) ? 0.0
+                                 : R.nextGaussian();
+}
+
+std::vector<nn::DBuffer> gradientsOf(const std::vector<nn::Tensor> &Params) {
+  std::vector<nn::DBuffer> Grads;
+  for (const nn::Tensor &P : Params)
+    Grads.push_back(P.grad());
+  return Grads;
+}
+
+bool sameBits(const nn::DBuffer &A, const nn::DBuffer &B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+}
+
+/// Installs a pool of \p Threads as the update pool for the scope; 0
+/// installs none.
+struct ScopedUpdatePool {
+  explicit ScopedUpdatePool(unsigned Threads) {
+    if (Threads > 0)
+      nn::setGemmPool(&Pool.emplace(Threads));
+  }
+  ~ScopedUpdatePool() { nn::setGemmPool(nullptr); }
+  std::optional<ThreadPool> Pool;
+};
+
+/// The laptop preset's 48-wide networks, so that the minibatch's GEMMs
+/// are large enough to split over a pool.
+struct BackwardFixture : AgentFixture {
+  NetConfig Wide{48, 48, 3};
+  ActorCritic Agent{Config, FeatureSize, Wide, 15};
+  Minibatch MB = sampleMinibatch(Agent, Config, Run);
+  std::vector<nn::Tensor> Params = Agent.parameters();
+  /// The critic's parameters are the last ones.
+  size_t FirstCriticParam = [this] {
+    Rng R(0);
+    return Params.size() -
+           ValueNet(Config, FeatureSize, Wide, R).parameters().size();
+  }();
+};
+
+} // namespace
+
+TEST_F(BackwardFixture, GradientsDoNotDependOnTheUpdatePool) {
+  ASSERT_GE(MB.Obs.size(), 32u);
+  std::vector<nn::DBuffer> Serial;
+  for (unsigned Threads : {0u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << Threads << " pool threads");
+    ScopedUpdatePool Scope(Threads);
+    seedGradients(Params);
+    minibatchLoss(Agent, MB, LossOver::All).backward();
+    std::vector<nn::DBuffer> Grads = gradientsOf(Params);
+    if (Threads == 0) {
+      Serial = std::move(Grads);
+      continue;
+    }
+    for (size_t I = 0; I < Params.size(); ++I)
+      EXPECT_TRUE(sameBits(Grads[I], Serial[I])) << "parameter " << I;
+  }
+}
+
+TEST_F(BackwardFixture, ALossReachesOnlyItsOwnNetwork) {
+  // A loss over the values runs the critic's backward alone, and one
+  // over the log-probabilities and entropies the actor's alone: the
+  // other network's gradients stay as seeded, bit for bit.
+  for (unsigned Threads : {0u, 2u}) {
+    for (LossOver Over : {LossOver::Value, LossOver::Policy}) {
+      SCOPED_TRACE(testing::Message()
+                   << Threads << " pool threads, "
+                   << (Over == LossOver::Value ? "value" : "policy")
+                   << " loss");
+      ScopedUpdatePool Scope(Threads);
+      seedGradients(Params);
+      std::vector<nn::DBuffer> Seeded = gradientsOf(Params);
+      minibatchLoss(Agent, MB, Over).backward();
+      std::vector<nn::DBuffer> Grads = gradientsOf(Params);
+      bool ActorMoved = false, CriticMoved = false;
+      for (size_t I = 0; I < Params.size(); ++I)
+        (I < FirstCriticParam ? ActorMoved : CriticMoved) |=
+            !sameBits(Grads[I], Seeded[I]);
+      EXPECT_EQ(ActorMoved, Over == LossOver::Policy);
+      EXPECT_EQ(CriticMoved, Over == LossOver::Value);
+    }
+  }
 }
